@@ -21,6 +21,7 @@
 #include "cut/lut_mapper.hpp"
 #include "gen/benchmarks.hpp"
 #include "sim/bitwise_sim.hpp"
+#include "util/parse_arg.hpp"
 
 #include <chrono>
 #include <cmath>
@@ -65,7 +66,9 @@ int main(int argc, char** argv)
   std::string json_path;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--patterns") == 0) {
-      num_patterns = std::stoull(argv[i + 1]);
+      util::parse_arg_or_exit(num_patterns, argv[i], argv[i + 1],
+                              "usage: table1_simulation [--patterns N] "
+                              "[--json PATH]\n");
     }
     if (std::strcmp(argv[i], "--json") == 0) {
       json_path = argv[i + 1];

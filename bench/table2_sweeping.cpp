@@ -70,6 +70,7 @@
 #include "sweep/fraig.hpp"
 #include "sweep/resource_governor.hpp"
 #include "sweep/stp_sweeper.hpp"
+#include "util/parse_arg.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -81,6 +82,12 @@
 #include <vector>
 
 namespace {
+
+constexpr const char* usage =
+    "usage: table2_sweeping [--patterns N] [--scale N] [--ablation]\n"
+    "  [--ce-engine auto|collapsed|resim] [--only SUBSTR]... [--json PATH]\n"
+    "  [--deadline SECONDS] [--conflict-budget N] [--conflict-budget-total N]\n"
+    "  [--threads N] [--shards N] [--sat-reduce 0|1] [--sat-inprocess 0|1]\n";
 
 /// Governor of the sweep/CEC currently running, for the signal handler
 /// to trip; null between runs (an interrupt then just sets the flag and
@@ -329,35 +336,44 @@ int main(int argc, char** argv)
     if (i + 1 >= argc) {
       continue;
     }
+    // Strictly parsed numeric option value: exits 2 with the usage
+    // message on malformed, negative, or trailing-garbage text.
+    const auto number = [&](auto& out) {
+      util::parse_arg_or_exit(out, argv[i], argv[i + 1], usage);
+    };
     if (std::strcmp(argv[i], "--patterns") == 0) {
-      base_patterns = std::stoull(argv[i + 1]);
+      number(base_patterns);
     }
     if (std::strcmp(argv[i], "--deadline") == 0) {
-      deadline_seconds = std::stod(argv[i + 1]);
+      number(deadline_seconds);
     }
     if (std::strcmp(argv[i], "--conflict-budget") == 0) {
-      conflict_budget = std::stoll(argv[i + 1]);
+      number(conflict_budget);
     }
     if (std::strcmp(argv[i], "--conflict-budget-total") == 0) {
-      conflict_budget_total = std::stoull(argv[i + 1]);
+      number(conflict_budget_total);
     }
     if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<uint32_t>(std::stoul(argv[i + 1]));
+      number(threads);
     }
     if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<uint32_t>(std::stoul(argv[i + 1]));
+      number(shards);
     }
     if (std::strcmp(argv[i], "--sat-reduce") == 0) {
-      sat_reduce = std::stoul(argv[i + 1]) != 0u;
+      uint32_t value = 0;
+      number(value);
+      sat_reduce = value != 0u;
     }
     if (std::strcmp(argv[i], "--sat-inprocess") == 0) {
-      sat_inprocess = std::stoul(argv[i + 1]) != 0u;
+      uint32_t value = 0;
+      number(value);
+      sat_inprocess = value != 0u;
     }
     if (std::strcmp(argv[i], "--json") == 0) {
       json_path = argv[i + 1];
     }
     if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = static_cast<uint32_t>(std::stoul(argv[i + 1]));
+      number(scale);
     }
     if (std::strcmp(argv[i], "--only") == 0) {
       only.emplace_back(argv[i + 1]);

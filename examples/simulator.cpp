@@ -13,6 +13,7 @@
 #include "io/aiger.hpp"
 #include "network/traversal.hpp"
 #include "sim/bitwise_sim.hpp"
+#include "util/parse_arg.hpp"
 
 #include <chrono>
 #include <cstdio>
@@ -23,6 +24,9 @@ int main(int argc, char** argv)
 {
   using namespace stps;
   using clock_type = std::chrono::steady_clock;
+  constexpr const char* usage =
+      "usage: simulator [--aiger FILE | --epfl NAME] [--patterns N] "
+      "[--k K]\n";
 
   std::string epfl_name = "adder";
   std::string aiger_path;
@@ -34,9 +38,9 @@ int main(int argc, char** argv)
     } else if (std::strcmp(argv[i], "--epfl") == 0) {
       epfl_name = argv[i + 1];
     } else if (std::strcmp(argv[i], "--patterns") == 0) {
-      num_patterns = std::stoull(argv[i + 1]);
+      util::parse_arg_or_exit(num_patterns, argv[i], argv[i + 1], usage);
     } else if (std::strcmp(argv[i], "--k") == 0) {
-      k = static_cast<uint32_t>(std::stoul(argv[i + 1]));
+      util::parse_arg_or_exit(k, argv[i], argv[i + 1], usage);
     }
   }
 

@@ -9,6 +9,9 @@ namespace stps::sweep {
 
 namespace {
 
+/// Tree-cut leaf bound of the collapsed view's CE windows.
+constexpr uint32_t collapse_limit = 8;
+
 /// The paper's engine: collapsed k-LUT view with output-sensitive
 /// fanout-driven absorption (ce_simulator).
 class collapsed_ce_engine final : public ce_engine
@@ -32,7 +35,7 @@ public:
     options.pinned = pinned;
     options.prune_targets = config_.prune_targets;
     options.initial_words = config_.initial_words;
-    sim_.build(aig, targets, config_.collapse_limit, patterns, options);
+    sim_.build(aig, targets, collapse_limit, patterns, options);
   }
 
   void add_ce(const sim::pattern_set& patterns,

@@ -44,7 +44,6 @@ namespace stps::sweep {
 /// are ignored by resim).
 struct ce_engine_config
 {
-  uint32_t collapse_limit = 8;  ///< tree-cut leaf bound (collapsed)
   bool prune_targets = true;    ///< reps + fanout frontier (collapsed)
   uint32_t initial_words = 1;   ///< trailing words simulated at build;
                                 ///< 0 = full arena (collapsed)

@@ -42,21 +42,6 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
   const auto stopped = [governor = params.governor]() {
     return governor != nullptr && governor->should_stop();
   };
-  const auto fill_cnf_stats = [&]() {
-    stats.sat_nodes_encoded = cnf.nodes_encoded();
-    stats.sat_solver_rebuilds = cnf.rebuilds();
-    stats.sat_clauses_peak = cnf.clauses_peak();
-    const sat::solver_stats solver_totals = cnf.solver_statistics();
-    stats.sat_conflicts = solver_totals.conflicts;
-    stats.sat_decisions = solver_totals.decisions;
-    stats.sat_restarts = solver_totals.restarts;
-    stats.sat_learnts_reduced = solver_totals.learnts_reduced;
-    stats.sat_lbd_sum = solver_totals.lbd_sum;
-    stats.sat_binary_clauses = solver_totals.binary_clauses;
-    stats.sat_lits_collapsed = solver_totals.lits_collapsed;
-    stats.sat_clauses_subsumed = solver_totals.clauses_subsumed;
-    stats.sat_inprocess_seconds = solver_totals.inprocess_seconds;
-  };
 
   // Initial simulation (guided, like `&fraig -x`) and candidate classes.
   sim::pattern_set patterns;
@@ -87,7 +72,7 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    fill_cnf_stats();
+    copy_cnf_counters(cnf, stats);
     stats.total_seconds = seconds_since(t_total);
     return stats;
   }
@@ -250,7 +235,7 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
 
   aig.cleanup_dangling();
   stats.gates_after = aig.num_gates();
-  fill_cnf_stats();
+  copy_cnf_counters(cnf, stats);
   stats.total_seconds = seconds_since(t_total);
   return stats;
 }

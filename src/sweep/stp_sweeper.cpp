@@ -12,6 +12,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -25,6 +26,37 @@ using clock_type = std::chrono::steady_clock;
 double seconds_since(clock_type::time_point start)
 {
   return std::chrono::duration<double>(clock_type::now() - start).count();
+}
+
+/// Initial pattern count for a circuit of \p num_gates gates: 250
+/// patterns per 1000 gates, at least 128, rounded up to a whole
+/// 64-pattern word and capped at \p cap (`guided.base_patterns`) —
+/// tiny instances stop over-investing in simulation.
+uint64_t scaled_pattern_budget(uint64_t num_gates, uint64_t cap)
+{
+  const uint64_t want = std::max<uint64_t>(num_gates * 250u / 1000u, 128u);
+  return std::min((want + 63u) / 64u * 64u, cap);
+}
+
+/// Round-2 guided-query budget (each query adds one pattern): 16 per
+/// 1000 gates, at least 32, capped at \p cap
+/// (`guided.max_round2_queries`).  Small circuits have few false
+/// candidates to break up, and at the seed's flat 512-query budget the
+/// guided SAT time exceeded what the extra patterns saved.
+std::size_t scaled_round2_queries(uint64_t num_gates, std::size_t cap)
+{
+  return std::min<std::size_t>(
+      std::max<uint64_t>(num_gates * 16u / 1000u, 32u), cap);
+}
+
+/// One shard takes the prologue's state outright; several each copy it.
+template <typename T>
+T take_or_copy(T& value, bool take)
+{
+  if (take) {
+    return std::move(value);
+  }
+  return value;
 }
 
 /// Exact window resolution by one word-parallel exhaustive simulation
@@ -188,34 +220,24 @@ enum class cand_status : uint8_t
   stopped,  ///< governor tripped mid-processing: wind the sweep down
 };
 
-/// One SAT-phase pass over a candidate order: the class machinery, CE
-/// engine, window resolution, and the candidate/retry loops of Alg. 2,
-/// operating on *owned* pattern/signature/class state.
-///
-/// Two modes share every line of the hot path:
-///
-/// * **in-place** (`deferred == nullptr`): proven merges call
-///   `aig.substitute_node` immediately — the single-thread sweep,
-///   byte-identical to the pre-parallel implementation;
-/// * **recording** (`deferred != nullptr`): the AIG is frozen (shared
-///   read-only by all shards) and proven merges append a
-///   `merge_record` instead.  Each shard constructs its own core over
-///   private copies of the simulation state and a private
-///   `sat::cnf_manager`, so a shard's trajectory is a pure function of
-///   its inputs — independent of how shards are scheduled onto threads.
+/// One shard's SAT phase: the class machinery, CE engine, window
+/// resolution, and the candidate/retry loops of Alg. 2, operating on
+/// *owned* pattern/signature/class state over the frozen input AIG.
+/// Proven merges append a `merge_record` for the commit pass instead of
+/// touching the network, so a shard's trajectory is a pure function of
+/// its inputs — independent of how shards are scheduled onto threads.
 class sweep_core
 {
 public:
-  sweep_core(net::aig_network& aig, const stp_sweep_params& params,
+  sweep_core(const net::aig_network& aig, const stp_sweep_params& params,
              sat::cnf_manager& cnf, sweep_stats& stats,
              uint32_t gates_global, sim::pattern_set patterns,
              sim::signature_store sig, equiv_classes classes,
-             std::vector<merge_record>* deferred)
+             std::vector<merge_record>& records)
       : aig_{aig}, params_{params}, cnf_{cnf}, stats_{stats},
         gates_global_{gates_global}, patterns_{std::move(patterns)},
         sig_{std::move(sig)}, classes_{std::move(classes)},
-        deferred_merges_{deferred}, tfi_{aig, params.tfi_limit},
-        dont_touch_(aig.size(), false)
+        records_{records}, tfi_{aig, params.tfi_limit}
   {
     // ---- Counter-example propagation engine (§III-B, §IV-A). ---------
     // Dispatch by *global* instance size (ce_engine.hpp): every shard
@@ -227,8 +249,7 @@ public:
                                      params_.ce_engine_gate_threshold);
     ran_collapsed_ = engine_kind_ == ce_engine_kind::collapsed;
     cesim_ = make_ce_engine(
-        engine_kind_, {params_.collapse_limit, params_.ce_prune_targets,
-                       params_.ce_initial_words});
+        engine_kind_, {params_.ce_prune_targets, params_.ce_initial_words});
     {
       const auto t_sim = clock_type::now();
       std::vector<net::node> target_gates;
@@ -236,7 +257,7 @@ public:
       for (uint32_t c = 0; c < classes_.num_class_ids(); ++c) {
         bool have_rep = false;
         for (const net::node m : classes_.members(c)) {
-          if (aig_.is_and(m) && !aig_.is_dead(m)) {
+          if (aig_.is_and(m)) {
             target_gates.push_back(m);
             if (!have_rep) {
               pinned.push_back(m); // class representative
@@ -271,9 +292,6 @@ public:
         aborted_ = true;
         break;
       }
-      if (aig_.is_dead(n) || dont_touch_[n]) {
-        continue; // skip(candidate), lines 7-9
-      }
       const cand_status status =
           process_candidate(n, params_.conflict_budget, retries_on);
       if (status == cand_status::deferred) {
@@ -307,8 +325,8 @@ public:
           aborted_ = true;
           break;
         }
-        if (node_merged(n)) {
-          // A cascaded merge settled it while it sat in the queue.
+        if (classes_.class_of(n) == equiv_classes::no_class) {
+          // Refinement settled it while it sat in the queue.
           ++stats_.undet_resolved;
           continue;
         }
@@ -340,8 +358,8 @@ public:
   bool aborted() const noexcept { return aborted_; }
 
   /// Writes the pass's outcome/engine/CNF/store counters into the stats
-  /// this core was constructed over (assignment semantics — a parallel
-  /// driver sums the per-shard stats afterwards).
+  /// this core was constructed over (assignment semantics — `stp_sweep`
+  /// sums the per-shard stats afterwards).
   void finalize_stats()
   {
     if (aborted_ && params_.governor != nullptr) {
@@ -361,20 +379,7 @@ public:
       stats_.ce_targets_pruned =
           escalated_ ? esc_pruned_ : cesim_->targets_pruned();
     }
-    stats_.sat_nodes_encoded = cnf_.nodes_encoded();
-    stats_.sat_solver_rebuilds = cnf_.rebuilds();
-    stats_.sat_clauses_peak = cnf_.clauses_peak();
-    const sat::solver_stats solver_totals = cnf_.solver_statistics();
-    stats_.sat_conflicts = solver_totals.conflicts;
-    stats_.sat_decisions = solver_totals.decisions;
-    stats_.sat_restarts = solver_totals.restarts;
-    stats_.sat_learnts_reduced = solver_totals.learnts_reduced;
-    stats_.sat_lbd_sum = solver_totals.lbd_sum;
-    stats_.sat_binary_clauses = solver_totals.binary_clauses;
-    stats_.sat_lits_collapsed = solver_totals.lits_collapsed;
-    stats_.sat_clauses_subsumed = solver_totals.clauses_subsumed;
-    stats_.sat_inprocess_seconds = solver_totals.inprocess_seconds;
-    stats_.phase_seed_words = cnf_.phase_seeds();
+    copy_cnf_counters(cnf_, stats_);
     stats_.has_store_counters = true;
     stats_.store_words_live =
         sig_.live_words() + cesim_->store().live_words();
@@ -393,20 +398,9 @@ private:
     return params_.governor != nullptr && params_.governor->should_stop();
   }
 
-  /// In-place mode: merged nodes are dead in the AIG.  Recording mode
-  /// never kills nodes, so "already merged" means "recorded" — the node
-  /// left its class when the record was taken.
-  bool node_merged(net::node n) const
-  {
-    if (deferred_merges_ == nullptr) {
-      return aig_.is_dead(n);
-    }
-    return classes_.class_of(n) == equiv_classes::no_class;
-  }
-
   /// Books a proven merge of \p n onto \p driver (shared counter
-  /// bookkeeping of the window and UNSAT paths), then either applies it
-  /// or records it for the deterministic commit pass.
+  /// bookkeeping of the window and UNSAT paths) and records it for the
+  /// deterministic commit pass.
   void merge_candidate(net::node n, net::node driver, bool complement,
                        bool window)
   {
@@ -418,12 +412,7 @@ private:
     if (aig_.is_constant(driver)) {
       ++stats_.constant_merges;
     }
-    const net::signal target{driver, complement};
-    if (deferred_merges_ != nullptr) {
-      deferred_merges_->push_back({n, target});
-    } else {
-      aig_.substitute_node(n, target);
-    }
+    records_.push_back({n, net::signal{driver, complement}});
   }
 
   // ---- Signature-store and pattern word budget. ----------------------
@@ -484,8 +473,7 @@ private:
     esc_store_trimmed_ = cesim_->store().words_trimmed();
     esc_store_peak_ = cesim_->store().peak_bytes();
     engine_kind_ = ce_engine_kind::resim;
-    cesim_ = make_ce_engine(engine_kind_, {params_.collapse_limit,
-                                           params_.ce_prune_targets,
+    cesim_ = make_ce_engine(engine_kind_, {params_.ce_prune_targets,
                                            params_.ce_initial_words});
     cesim_->build(aig_, {}, {}, patterns_);
   }
@@ -514,9 +502,7 @@ private:
   }
 
   // Copies the open tail word from the CE simulator into the candidate
-  // signature store for the given members (dead members keep their
-  // function — merges are function-preserving — so they sync too, which
-  // keeps refinement independent of *when* a class is refined).
+  // signature store for the given members.
   void sync_member_rows(const std::vector<net::node>& members)
   {
     while (sig_.num_words() < patterns_.num_words()) {
@@ -627,22 +613,6 @@ private:
           return cand_status::settled;
         }
       }
-      // Drop members killed by cascaded merges (in-place mode only —
-      // a frozen AIG never kills anything mid-pass).
-      {
-        members_scratch_.assign(classes_.members(c).begin(),
-                                classes_.members(c).end());
-        for (const net::node m : members_scratch_) {
-          if (aig_.is_and(m) && aig_.is_dead(m)) {
-            classes_.remove_member(m);
-          }
-        }
-        c = classes_.class_of(n);
-        if (c == equiv_classes::no_class) {
-          return cand_status::settled;
-        }
-      }
-
       maybe_resolve(c);
       c = classes_.class_of(n);
       if (c == equiv_classes::no_class) {
@@ -689,8 +659,7 @@ private:
         if (allow_defer) {
           return cand_status::deferred;
         }
-        dont_touch_[n] = true; // mark_dont_touch, lines 19-21
-        ++stats_.dont_touch;
+        ++stats_.dont_touch; // mark_dont_touch, lines 19-21
         classes_.remove_member(n);
         return cand_status::gave_up;
       }
@@ -720,7 +689,7 @@ private:
     }
   }
 
-  net::aig_network& aig_;
+  const net::aig_network& aig_;
   const stp_sweep_params& params_;
   sat::cnf_manager& cnf_;
   sweep_stats& stats_;
@@ -728,7 +697,7 @@ private:
   sim::pattern_set patterns_;
   sim::signature_store sig_;
   equiv_classes classes_;
-  std::vector<merge_record>* deferred_merges_;
+  std::vector<merge_record>& records_;
 
   ce_engine_kind engine_kind_ = ce_engine_kind::collapsed;
   std::unique_ptr<ce_engine> cesim_;
@@ -750,8 +719,6 @@ private:
   std::vector<uint64_t> resolve_keys_scratch_;
 
   tfi_manager tfi_;
-  std::vector<bool> dont_touch_;
-  std::vector<net::node> members_scratch_;
   bool aborted_ = false;
 };
 
@@ -777,38 +744,15 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.faults = params.faults;
   sat::cnf_manager cnf{aig, cnf_params};
 
-  // Deadline/budget/cancellation poll, and the accounting used when the
-  // governor aborts before the class machinery exists — a partial
-  // result must still report what it spent.
-  const auto stopped = [governor = params.governor]() {
-    return governor != nullptr && governor->should_stop();
-  };
-  const auto fill_cnf_stats = [&]() {
-    stats.sat_nodes_encoded = cnf.nodes_encoded();
-    stats.sat_solver_rebuilds = cnf.rebuilds();
-    stats.sat_clauses_peak = cnf.clauses_peak();
-    const sat::solver_stats solver_totals = cnf.solver_statistics();
-    stats.sat_conflicts = solver_totals.conflicts;
-    stats.sat_decisions = solver_totals.decisions;
-    stats.sat_restarts = solver_totals.restarts;
-    stats.sat_learnts_reduced = solver_totals.learnts_reduced;
-    stats.sat_lbd_sum = solver_totals.lbd_sum;
-    stats.sat_binary_clauses = solver_totals.binary_clauses;
-    stats.sat_lits_collapsed = solver_totals.lits_collapsed;
-    stats.sat_clauses_subsumed = solver_totals.clauses_subsumed;
-    stats.sat_inprocess_seconds = solver_totals.inprocess_seconds;
-    stats.phase_seed_words = cnf.phase_seeds();
-  };
-
   // ---- Initial patterns (Alg. 2 line 2) + constant propagation (line 3).
   // The per-round simulation budget scales with the gate count (capped at
   // guided.base_patterns), so tiny instances stop over-investing in
   // simulation.
   guided_pattern_config guided_config = params.guided;
   guided_config.base_patterns =
-      params.effective_pattern_budget(aig.num_gates());
-  guided_config.max_round2_queries =
-      params.effective_round2_queries(aig.num_gates());
+      scaled_pattern_budget(aig.num_gates(), params.guided.base_patterns);
+  guided_config.max_round2_queries = scaled_round2_queries(
+      aig.num_gates(), params.guided.max_round2_queries);
   guided_config.use_signature_phase = params.use_signature_phase;
   guided_config.governor = params.governor;
   sim::pattern_set patterns;
@@ -831,16 +775,17 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
         aig.num_pis(), guided_config.base_patterns, guided_config.seed);
   }
 
-  if (stopped()) {
+  if (params.governor != nullptr && params.governor->should_stop()) {
     // Aborted during pattern generation: the constants applied above
     // are each a completed UNSAT proof, so the network is already a
     // sound partial result — finalize without building the class
-    // machinery (engine/store counters stay unreported).
+    // machinery (engine/store counters stay unreported, and no shard
+    // spent SAT time).
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    fill_cnf_stats();
-    stats.worker_sat_seconds = {stats.sat_seconds};
+    copy_cnf_counters(cnf, stats);
+    stats.worker_sat_seconds = {0.0};
     stats.total_seconds = seconds_since(t_total);
     return stats;
   }
@@ -887,41 +832,21 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     }
   };
 
-  const std::vector<net::node> order = net::reverse_topo_order(aig);
-  const uint32_t shards = params.effective_sat_shards();
-
-  if (shards <= 1u) {
-    // ---- Single-thread sweep: merges applied in place as proven. -----
-    hint_fn(cnf);
-    sweep_core core{aig,
-                    params,
-                    cnf,
-                    stats,
-                    stats.gates_before,
-                    std::move(patterns),
-                    std::move(sig),
-                    std::move(classes),
-                    /*deferred=*/nullptr};
-    core.run(order);
-    core.finalize_stats();
-    aig.cleanup_dangling();
-    stats.gates_after = aig.num_gates();
-    stats.worker_sat_seconds = {stats.sat_seconds};
-    stats.total_seconds = seconds_since(t_total);
-    return stats;
-  }
-
-  // ---- Parallel SAT phase: class-sharded sweeping. ---------------------
+  // ---- SAT phase: class-sharded sweeping over the frozen AIG. --------
   // The candidate classes are partitioned round-robin (ascending class
   // id) into `shards` shards.  Classes never interact during querying —
   // drivers come from the candidate's own class — so each shard sweeps
-  // its classes against the frozen AIG with fully private state: its
-  // own cnf_manager, its own copies of the pattern/signature stores and
-  // the class partition (non-owned classes dissolved), its own CE
-  // engine.  Proven merges are *recorded*, then committed below in
-  // ascending node-id order on this thread.  A shard's trajectory is a
-  // pure function of its inputs, so the sweep is byte-identical for a
-  // fixed shard count no matter how many threads execute it.
+  // its classes against the frozen AIG with private state: its own
+  // cnf_manager, pattern/signature stores, class partition (non-owned
+  // classes dissolved) and CE engine.  Proven merges are *recorded*,
+  // then committed below in ascending node-id order on this thread.  A
+  // shard's trajectory is a pure function of its inputs, so the sweep is
+  // byte-identical for a fixed shard count no matter how many threads
+  // execute it.  One shard is the single-thread sweep: it takes the
+  // prologue's manager and simulation state outright instead of copies.
+  const std::vector<net::node> order = net::reverse_topo_order(aig);
+  const uint32_t shards = params.effective_sat_shards();
+  const bool one_shard = shards == 1u;
   std::vector<uint32_t> owner_of_class(classes.num_class_ids(),
                                        ~uint32_t{0});
   {
@@ -951,12 +876,17 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   const uint32_t workers_used =
       std::min(std::max(params.threads, 1u), shards);
   {
-    worker_pool pool{workers_used};
+    // A lone worker is the calling thread (a 0-thread pool runs inline).
+    worker_pool pool{workers_used > 1u ? workers_used : 0u};
     pool.run(shards, [&](std::size_t s) {
       shard_result& out = shard_results[s];
-      sat::cnf_manager shard_cnf{aig, cnf_params};
+      std::optional<sat::cnf_manager> fresh_cnf;
+      if (!one_shard) {
+        fresh_cnf.emplace(aig, cnf_params);
+      }
+      sat::cnf_manager& shard_cnf = one_shard ? cnf : *fresh_cnf;
       hint_fn(shard_cnf);
-      equiv_classes shard_classes = classes;
+      equiv_classes shard_classes = take_or_copy(classes, one_shard);
       for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
         if (owner_of_class[c] != static_cast<uint32_t>(s)) {
           shard_classes.dissolve_class(c);
@@ -967,10 +897,10 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
                       shard_cnf,
                       out.stats,
                       stats.gates_before,
-                      patterns,
-                      sig,
+                      take_or_copy(patterns, one_shard),
+                      take_or_copy(sig, one_shard),
                       std::move(shard_classes),
-                      &out.records};
+                      out.records};
       core.run(shard_order[s]);
       core.finalize_stats();
       out.aborted = core.aborted();
@@ -980,8 +910,12 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // ---- Merge the per-shard accounting (ascending shard order). ---------
   // Counters are *sums over shards* on top of the prologue's (guided
   // patterns ran on the main manager): `sat_clauses_peak` in particular
-  // is the sum of per-manager peaks, not a global simultaneous peak.
-  fill_cnf_stats(); // the prologue's SAT effort (guided patterns)
+  // is the sum of per-manager peaks, not a global simultaneous peak.  A
+  // single shard swept on the prologue's manager, whose totals already
+  // include the prologue's SAT effort.
+  if (!one_shard) {
+    copy_cnf_counters(cnf, stats);
+  }
   stats.sat_shards = shards;
   stats.workers_used = workers_used;
   stats.worker_sat_seconds.assign(workers_used, 0.0);

@@ -48,9 +48,15 @@
 ///    progress, any other class when the loop advances to it, and all
 ///    classes at once when the word fills with 64 CEs — instead of
 ///    paying a full-word re-simulation + global refinement per CE.
-/// 8. **Size-scaled budgets**: the initial pattern budget and the
-///    round-2 guided-query budget scale with gate count (capped), so
-///    small instances stop over-investing in simulation and guided SAT.
+/// 8. **Size-scaled budgets**: the initial pattern budget (250 patterns
+///    per 1000 gates, at least 128) and the round-2 guided-query budget
+///    (16 per 1000 gates, at least 32) scale with gate count, capped at
+///    `guided.base_patterns` / `guided.max_round2_queries`, so small
+///    instances stop over-investing in simulation and guided SAT.
+/// 9. **One sweep path, sharded by class**: the candidate loop runs on
+///    `effective_sat_shards()` class shards over the frozen input AIG
+///    and records proven merges; a commit pass applies them afterwards.
+///    One shard is the single-thread sweep.
 #pragma once
 
 #include "network/aig.hpp"
@@ -161,21 +167,23 @@ struct stp_sweep_params
 
   int64_t conflict_budget = -1;  ///< equivalence queries; -1 = unlimited
 
-  /// \name Parallel SAT phase (class-sharded)
+  /// \name SAT phase (class-sharded)
   /// \{
   /// Worker threads for the SAT phase.  The candidate classes are
   /// partitioned into `effective_sat_shards()` shards; each shard is
-  /// swept against its own thread-local `sat::cnf_manager` (and private
-  /// copies of the signature/pattern state) over the *frozen* input
-  /// AIG, recording proven merges instead of applying them.  Proven
-  /// merges are then committed on the calling thread in deterministic
-  /// canonical order (ascending node id).  The sweep *trajectory* is a
-  /// pure function of the shard count — running 4 shards on 1 thread or
-  /// on 4 threads is byte-identical in every counter and in the result
-  /// network.  With ≤ 1 effective shard the single-thread in-place path
-  /// runs unchanged.
+  /// swept over the *frozen* input AIG with its own `sat::cnf_manager`
+  /// and its own signature/pattern/class state, recording proven merges
+  /// instead of applying them.  The recorded merges are then committed
+  /// on the calling thread in deterministic canonical order (ascending
+  /// node id).  The sweep *trajectory* is a pure function of the shard
+  /// count — running 4 shards on 1 thread or on 4 threads is
+  /// byte-identical in every counter and in the result network.  At
+  /// most `effective_sat_shards()` threads run; a single worker is the
+  /// calling thread itself.
   uint32_t threads = 1;
-  /// Shard count of the parallel phase; 0 = one shard per thread.
+  /// Shard count of the SAT phase; 0 = one shard per thread.  One shard
+  /// is the single-thread sweep: it reuses the manager and simulation
+  /// state of the guided-pattern prologue instead of fresh copies.
   /// Fixing `sat_shards` while varying `threads` reproduces identical
   /// sweeps at any parallelism (the determinism pin).
   uint32_t sat_shards = 0;
@@ -225,47 +233,6 @@ struct stp_sweep_params
   /// scaling (the flat ablation baseline).
   uint32_t window_scale_gates = 30'000;
   uint32_t window_max_support_scaled = 19;
-  uint32_t collapse_limit = 8;   ///< tree-cut leaf bound for CE windows
-
-  /// Per-round simulation budget scaling: tiny instances stop
-  /// over-investing in simulation.  The effective initial pattern count
-  /// is `guided.base_patterns` capped from below by scaling with the
-  /// gate count (`pattern_budget_per_mille` patterns per 1000 gates,
-  /// floored at `min_pattern_budget`, rounded up to a whole 64-pattern
-  /// word).  0 disables scaling and always uses `guided.base_patterns`.
-  uint32_t pattern_budget_per_mille = 250;
-  uint64_t min_pattern_budget = 128;
-  /// Round-2 guided queries (each adds one pattern) scale the same way:
-  /// small circuits have few false candidates to break up, and at the
-  /// seed's flat 512-query budget the guided SAT time exceeded what the
-  /// extra patterns saved.  Paper-scale instances still reach
-  /// `guided.max_round2_queries`.  0 disables scaling.
-  uint32_t round2_queries_per_mille = 16;
-  std::size_t min_round2_queries = 32;
-
-  /// Initial pattern count actually used for a circuit of
-  /// \p num_gates gates.
-  uint64_t effective_pattern_budget(uint64_t num_gates) const
-  {
-    if (pattern_budget_per_mille == 0u) {
-      return guided.base_patterns;
-    }
-    uint64_t want = num_gates * pattern_budget_per_mille / 1000u;
-    want = std::max(want, min_pattern_budget);
-    want = (want + 63u) / 64u * 64u;
-    return std::min(want, guided.base_patterns);
-  }
-
-  /// Round-2 guided-query budget for a circuit of \p num_gates gates.
-  std::size_t effective_round2_queries(uint64_t num_gates) const
-  {
-    if (round2_queries_per_mille == 0u) {
-      return guided.max_round2_queries;
-    }
-    const std::size_t want = std::max<std::size_t>(
-        min_round2_queries, num_gates * round2_queries_per_mille / 1000u);
-    return std::min(want, guided.max_round2_queries);
-  }
 
   /// Exhaustive-window support limit for a circuit of \p num_gates
   /// gates (scaled windowing; see `window_scale_gates`).

@@ -5,6 +5,10 @@
 #include <cstdint>
 #include <vector>
 
+namespace stps::sat {
+class cnf_manager;
+} // namespace stps::sat
+
 namespace stps::sweep {
 
 /// Counter-example propagation engine of the STP sweeper (see
@@ -153,8 +157,10 @@ struct sweep_stats
   uint32_t threads = 1;      ///< requested worker threads
   uint32_t sat_shards = 1;   ///< effective shard count of the SAT phase
   uint32_t workers_used = 1; ///< threads that actually ran shards
-  /// Per-worker SAT time (size = workers_used; worker w summed over the
-  /// shards it ran).  Single-thread sweeps report {sat_seconds}.
+  /// Per-worker shard SAT time (size = workers_used; worker w summed
+  /// over the shards it ran).  The prologue's guided-pattern SAT time is
+  /// in `sat_seconds` only, so a one-shard sweep reports its shard's
+  /// candidate-loop SAT time, not {sat_seconds}.
   std::vector<double> worker_sat_seconds;
   /// \}
 
@@ -162,5 +168,9 @@ struct sweep_stats
   double sat_seconds = 0.0;
   double total_seconds = 0.0; ///< "Total runtime"
 };
+
+/// Copies \p cnf's totals over every epoch into the CNF, search-effort,
+/// and clause-database counters of \p stats (assignment semantics).
+void copy_cnf_counters(const sat::cnf_manager& cnf, sweep_stats& stats);
 
 } // namespace stps::sweep

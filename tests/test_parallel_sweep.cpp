@@ -103,32 +103,37 @@ TEST(ParallelSweep, ThreadCountNeverChangesTheResult)
   // The determinism pin: fixed shard count, varying thread count.
   // Every counter (including SAT search effort) and the full result
   // network must be byte-identical — scheduling must not exist as far
-  // as results are concerned.
-  for (const uint64_t seed : {0u, 1u, 2u}) {
-    std::vector<std::vector<uint64_t>> all_counters;
-    std::vector<std::vector<uint32_t>> all_fps;
-    for (const uint32_t threads : {1u, 2u, 4u}) {
-      net::aig_network aig = test_instance(seed);
-      sweep::stp_sweep_params params;
-      params.guided.base_patterns = 256u;
-      params.threads = threads;
-      params.sat_shards = 4u; // fixed: the trajectory parameter
-      const auto stats = sweep::stp_sweep(aig, params);
-      EXPECT_EQ(stats.sat_shards, 4u);
-      EXPECT_EQ(stats.threads, threads);
-      EXPECT_EQ(stats.workers_used, std::min(threads, 4u));
-      EXPECT_EQ(stats.worker_sat_seconds.size(), stats.workers_used);
-      auto flat = counters(stats);
-      // threads/workers_used legitimately differ across runs; compare
-      // everything else.
-      flat[flat.size() - 3u] = 0u; // threads
-      flat[flat.size() - 1u] = 0u; // workers_used
-      all_counters.push_back(std::move(flat));
-      all_fps.push_back(fingerprint(aig));
-    }
-    for (std::size_t i = 1; i < all_counters.size(); ++i) {
-      EXPECT_EQ(all_counters[i], all_counters.front()) << "seed " << seed;
-      EXPECT_EQ(all_fps[i], all_fps.front()) << "seed " << seed;
+  // as results are concerned.  One shard is the single-thread sweep:
+  // extra threads find nothing to run.
+  for (const uint32_t shards : {4u, 1u}) {
+    for (const uint64_t seed : {0u, 1u, 2u}) {
+      std::vector<std::vector<uint64_t>> all_counters;
+      std::vector<std::vector<uint32_t>> all_fps;
+      for (const uint32_t threads : {1u, 2u, 4u}) {
+        net::aig_network aig = test_instance(seed);
+        sweep::stp_sweep_params params;
+        params.guided.base_patterns = 256u;
+        params.threads = threads;
+        params.sat_shards = shards; // fixed: the trajectory parameter
+        const auto stats = sweep::stp_sweep(aig, params);
+        EXPECT_EQ(stats.sat_shards, shards);
+        EXPECT_EQ(stats.threads, threads);
+        EXPECT_EQ(stats.workers_used, std::min(threads, shards));
+        EXPECT_EQ(stats.worker_sat_seconds.size(), stats.workers_used);
+        auto flat = counters(stats);
+        // threads/workers_used legitimately differ across runs; compare
+        // everything else.
+        flat[flat.size() - 3u] = 0u; // threads
+        flat[flat.size() - 1u] = 0u; // workers_used
+        all_counters.push_back(std::move(flat));
+        all_fps.push_back(fingerprint(aig));
+      }
+      for (std::size_t i = 1; i < all_counters.size(); ++i) {
+        EXPECT_EQ(all_counters[i], all_counters.front())
+            << "shards " << shards << " seed " << seed;
+        EXPECT_EQ(all_fps[i], all_fps.front())
+            << "shards " << shards << " seed " << seed;
+      }
     }
   }
 }
@@ -166,8 +171,8 @@ TEST(ParallelSweep, ShardedSweepsAreSoundAndReachTheSameSize)
 
 TEST(ParallelSweep, DefaultShardCountFollowsThreads)
 {
-  // sat_shards = 0 means one shard per thread; threads = 1 must stay on
-  // the single-thread in-place path (sat_shards reported as 1).
+  // sat_shards = 0 means one shard per thread; threads = 1 (or a
+  // clamped 0) gives the one-shard single-thread sweep.
   net::aig_network aig = test_instance(7u);
   sweep::stp_sweep_params params;
   params.guided.base_patterns = 256u;
