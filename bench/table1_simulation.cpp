@@ -64,14 +64,17 @@ int main(int argc, char** argv)
   using namespace stps;
   uint64_t num_patterns = uint64_t{1} << 17u;
   std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--patterns") == 0) {
-      util::parse_arg_or_exit(num_patterns, argv[i], argv[i + 1],
-                              "usage: table1_simulation [--patterns N] "
-                              "[--json PATH]\n");
-    }
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
+  constexpr const char* usage =
+      "usage: table1_simulation [--patterns N] [--json PATH]\n";
+  for (int i = 1; i < argc; ++i) {
+    const char* const flag = argv[i];
+    if (std::strcmp(flag, "--patterns") == 0) {
+      util::parse_arg_or_exit(num_patterns, flag,
+                              util::option_value(argc, argv, i, usage), usage);
+    } else if (std::strcmp(flag, "--json") == 0) {
+      json_path = util::option_value(argc, argv, i, usage);
+    } else {
+      util::usage_exit("unknown option", flag, usage);
     }
   }
 

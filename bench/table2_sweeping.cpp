@@ -87,7 +87,7 @@ constexpr const char* usage =
     "usage: table2_sweeping [--patterns N] [--scale N] [--ablation]\n"
     "  [--ce-engine auto|collapsed|resim] [--only SUBSTR]... [--json PATH]\n"
     "  [--deadline SECONDS] [--conflict-budget N] [--conflict-budget-total N]\n"
-    "  [--threads N] [--shards N] [--sat-reduce 0|1] [--sat-inprocess 0|1]\n";
+    "  [--threads N] [--shards N]\n";
 
 /// Governor of the sweep/CEC currently running, for the signal handler
 /// to trip; null between runs (an interrupt then just sets the flag and
@@ -179,25 +179,21 @@ void write_engine_json(std::FILE* f, const char* key,
   // the key.
   std::fprintf(f,
                "\"sat_conflicts\": %llu, \"sat_decisions\": %llu, "
-               "\"sat_restarts\": %llu, ",
+               "\"sat_propagations\": %llu, \"sat_restarts\": %llu, ",
                static_cast<unsigned long long>(s.sat_conflicts),
                static_cast<unsigned long long>(s.sat_decisions),
+               static_cast<unsigned long long>(s.sat_propagations),
                static_cast<unsigned long long>(s.sat_restarts));
-  // Clause-database policy counters (reduce_db + binary graph +
-  // between-query inprocessing), accumulated across garbage epochs and
-  // shards like the search counters above.  Emitted for both engines —
-  // the solver policies are engine-independent.
+  // Clause-database policy counters (reduce_db + binary graph),
+  // accumulated across garbage epochs and shards like the search
+  // counters above.  Emitted for both engines — the solver policies
+  // are engine-independent.
   std::fprintf(f,
                "\"sat_learnts_reduced\": %llu, \"sat_lbd_sum\": %llu, "
-               "\"sat_binary_clauses\": %llu, \"sat_lits_collapsed\": %llu, "
-               "\"sat_clauses_subsumed\": %llu, "
-               "\"sat_inprocess_seconds\": %.6f, ",
+               "\"sat_binary_clauses\": %llu, ",
                static_cast<unsigned long long>(s.sat_learnts_reduced),
                static_cast<unsigned long long>(s.sat_lbd_sum),
-               static_cast<unsigned long long>(s.sat_binary_clauses),
-               static_cast<unsigned long long>(s.sat_lits_collapsed),
-               static_cast<unsigned long long>(s.sat_clauses_subsumed),
-               s.sat_inprocess_seconds);
+               static_cast<unsigned long long>(s.sat_binary_clauses));
   if (s.has_ce_engine) {
     std::fprintf(f, "\"phase_seed_words\": %llu, ",
                  static_cast<unsigned long long>(s.phase_seed_words));
@@ -326,70 +322,53 @@ int main(int argc, char** argv)
   int64_t conflict_budget = -1;        // per query; -1 = unlimited
   uint32_t threads = 1;                // STP SAT-phase worker threads
   uint32_t shards = 0;                 // 0 = one shard per thread
-  bool sat_reduce = true;              // solver learnt-clause reduction
-  bool sat_inprocess = true;           // between-query inprocessing
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ablation") == 0) {
-      ablation = true;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      continue;
-    }
+    const char* const flag = argv[i];
+    const auto is = [&](const char* name) {
+      return std::strcmp(flag, name) == 0;
+    };
+    // The option's value, consumed; a missing value exits 2 with usage.
+    const auto value = [&] {
+      return util::option_value(argc, argv, i, usage);
+    };
     // Strictly parsed numeric option value: exits 2 with the usage
     // message on malformed, negative, or trailing-garbage text.
     const auto number = [&](auto& out) {
-      util::parse_arg_or_exit(out, argv[i], argv[i + 1], usage);
+      util::parse_arg_or_exit(out, flag, value(), usage);
     };
-    if (std::strcmp(argv[i], "--patterns") == 0) {
+    if (is("--ablation")) {
+      ablation = true;
+    } else if (is("--patterns")) {
       number(base_patterns);
-    }
-    if (std::strcmp(argv[i], "--deadline") == 0) {
+    } else if (is("--deadline")) {
       number(deadline_seconds);
-    }
-    if (std::strcmp(argv[i], "--conflict-budget") == 0) {
+    } else if (is("--conflict-budget")) {
       number(conflict_budget);
-    }
-    if (std::strcmp(argv[i], "--conflict-budget-total") == 0) {
+    } else if (is("--conflict-budget-total")) {
       number(conflict_budget_total);
-    }
-    if (std::strcmp(argv[i], "--threads") == 0) {
+    } else if (is("--threads")) {
       number(threads);
-    }
-    if (std::strcmp(argv[i], "--shards") == 0) {
+    } else if (is("--shards")) {
       number(shards);
-    }
-    if (std::strcmp(argv[i], "--sat-reduce") == 0) {
-      uint32_t value = 0;
-      number(value);
-      sat_reduce = value != 0u;
-    }
-    if (std::strcmp(argv[i], "--sat-inprocess") == 0) {
-      uint32_t value = 0;
-      number(value);
-      sat_inprocess = value != 0u;
-    }
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--scale") == 0) {
+    } else if (is("--json")) {
+      json_path = value();
+    } else if (is("--scale")) {
       number(scale);
-    }
-    if (std::strcmp(argv[i], "--only") == 0) {
-      only.emplace_back(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--ce-engine") == 0) {
-      const std::string value = argv[i + 1];
-      if (value == "collapsed") {
+    } else if (is("--only")) {
+      only.emplace_back(value());
+    } else if (is("--ce-engine")) {
+      const std::string engine = value();
+      if (engine == "collapsed") {
         ce_engine = sweep::ce_engine_kind::collapsed;
-      } else if (value == "resim") {
+      } else if (engine == "resim") {
         ce_engine = sweep::ce_engine_kind::resim;
-      } else if (value == "auto") {
+      } else if (engine == "auto") {
         ce_engine = sweep::ce_engine_kind::automatic;
       } else {
-        std::fprintf(stderr, "unknown --ce-engine %s\n", value.c_str());
-        return 1;
+        util::usage_exit("unknown --ce-engine value", engine.c_str(), usage);
       }
+    } else {
+      util::usage_exit("unknown option", flag, usage);
     }
   }
   scale = std::min(scale, gen::max_sweep_scale); // keep recorded scale honest
@@ -456,8 +435,6 @@ int main(int argc, char** argv)
     params.conflict_budget = conflict_budget;
     params.threads = threads;
     params.sat_shards = shards;
-    params.sat_reduce = sat_reduce;
-    params.sat_inprocess = sat_inprocess;
     params.governor = &stp_gov;
     sweep::sweep_stats ss;
     {
@@ -501,8 +478,6 @@ int main(int argc, char** argv)
       off.use_cone_scoped_decisions = false;
       off.window_scale_gates = 0u; // flat window support
       off.guided.round2_group_by_signature = false;
-      off.sat_reduce = false;      // epoch-only learnt retention
-      off.sat_inprocess = false;   // no between-query simplification
       off.ce_engine = ss.ce_engine_used == sweep::ce_engine_kind::collapsed
                           ? sweep::ce_engine_kind::resim
                           : sweep::ce_engine_kind::collapsed;

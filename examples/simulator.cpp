@@ -32,15 +32,20 @@ int main(int argc, char** argv)
   std::string aiger_path;
   uint64_t num_patterns = 65536u;
   uint32_t k = 6u;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--aiger") == 0) {
-      aiger_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--epfl") == 0) {
-      epfl_name = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--patterns") == 0) {
-      util::parse_arg_or_exit(num_patterns, argv[i], argv[i + 1], usage);
-    } else if (std::strcmp(argv[i], "--k") == 0) {
-      util::parse_arg_or_exit(k, argv[i], argv[i + 1], usage);
+  for (int i = 1; i < argc; ++i) {
+    const char* const flag = argv[i];
+    if (std::strcmp(flag, "--aiger") == 0) {
+      aiger_path = util::option_value(argc, argv, i, usage);
+    } else if (std::strcmp(flag, "--epfl") == 0) {
+      epfl_name = util::option_value(argc, argv, i, usage);
+    } else if (std::strcmp(flag, "--patterns") == 0) {
+      util::parse_arg_or_exit(num_patterns, flag,
+                              util::option_value(argc, argv, i, usage), usage);
+    } else if (std::strcmp(flag, "--k") == 0) {
+      util::parse_arg_or_exit(k, flag,
+                              util::option_value(argc, argv, i, usage), usage);
+    } else {
+      util::usage_exit("unknown option", flag, usage);
     }
   }
 

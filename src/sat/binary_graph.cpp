@@ -50,120 +50,4 @@ bool binary_graph::remove(lit a, lit b, bool learnt)
   return true;
 }
 
-void binary_graph::clear()
-{
-  for (auto& list : implications_) {
-    list.clear();
-  }
-  live_problem_ = 0;
-  live_learnt_ = 0;
-}
-
-binary_graph::equivalences binary_graph::compute_equivalences(
-    std::span<const lbool> assigns) const
-{
-  equivalences out;
-  const uint32_t n = static_cast<uint32_t>(implications_.size());
-  constexpr uint32_t none = ~uint32_t{0};
-
-  const auto active = [&](uint32_t x) {
-    const var v = x >> 1u;
-    return v < assigns.size() && assigns[v] == lbool::l_undef;
-  };
-
-  std::vector<uint32_t> index(n, none);
-  std::vector<uint32_t> lowlink(n, 0u);
-  std::vector<uint8_t> on_stack(n, 0u);
-  std::vector<uint32_t> scc_stack;
-  struct frame
-  {
-    uint32_t x;
-    uint32_t edge_i;
-  };
-  std::vector<frame> frames;
-  std::vector<uint32_t> members;
-  uint32_t next_index = 0;
-
-  for (uint32_t root = 0; root < n; ++root) {
-    if (!active(root) || index[root] != none ||
-        implications_[root].empty()) {
-      continue;
-    }
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = 1u;
-    frames.push_back(frame{root, 0u});
-    while (!frames.empty()) {
-      frame& f = frames.back();
-      const auto& edges = implications_[f.x];
-      if (f.edge_i < edges.size()) {
-        const uint32_t y = edges[f.edge_i++].other.x;
-        if (!active(y)) {
-          continue;
-        }
-        if (index[y] == none) {
-          index[y] = lowlink[y] = next_index++;
-          scc_stack.push_back(y);
-          on_stack[y] = 1u;
-          frames.push_back(frame{y, 0u});
-        } else if (on_stack[y] != 0u) {
-          lowlink[f.x] = std::min(lowlink[f.x], index[y]);
-        }
-        continue;
-      }
-      const uint32_t x = f.x;
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().x] = std::min(lowlink[frames.back().x],
-                                            lowlink[x]);
-      }
-      if (lowlink[x] != index[x]) {
-        continue;
-      }
-      members.clear();
-      for (;;) {
-        const uint32_t y = scc_stack.back();
-        scc_stack.pop_back();
-        on_stack[y] = 0u;
-        members.push_back(y);
-        if (y == x) {
-          break;
-        }
-      }
-      if (members.size() < 2u) {
-        continue;
-      }
-      const uint32_t rep_x = *std::min_element(members.begin(),
-                                               members.end());
-      if ((rep_x & 1u) != 0u) {
-        continue; // mirror component — handled via the positive phase
-      }
-      // Both phases of one variable in a single component means
-      // v ≡ ¬v: unsatisfiable.
-      std::sort(members.begin(), members.end());
-      for (std::size_t i = 0; i + 1u < members.size(); ++i) {
-        if ((members[i] >> 1u) == (members[i + 1u] >> 1u)) {
-          out.contradiction = true;
-          return out;
-        }
-      }
-      lit rep;
-      rep.x = rep_x;
-      for (const uint32_t mx : members) {
-        if (mx == rep_x) {
-          continue;
-        }
-        lit m;
-        m.x = mx;
-        // m ≡ rep, so the positive phase of m's variable maps to rep
-        // complemented by m's sign.
-        out.mapped.emplace_back(m.variable(), m.sign() ? ~rep : rep);
-      }
-    }
-  }
-  std::sort(out.mapped.begin(), out.mapped.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
 } // namespace stps::sat

@@ -4,22 +4,20 @@
 /// A binary clause (a ∨ b) is stored as the two implication edges
 /// ¬a → b and ¬b → a instead of a watched arena clause: propagation of
 /// a literal walks one adjacency list with no clause memory behind it
-/// (the dedicated fast path in solver::propagate), and the graph's
-/// strongly connected components are exactly the equivalent-literal
-/// classes the inprocessor collapses — SAT sweeping inside the solver.
+/// (the dedicated fast path in solver::propagate).
 ///
-/// Only *permanent* clauses may enter the graph: problem binaries and
+/// Only *permanent* clauses enter the graph: problem binaries and
 /// learnt binaries (implied by the problem alone once the per-query
-/// auxiliary definitions are purged).  Removable clauses must stay
-/// watched arena clauses — an equivalence baked into the graph cannot
-/// be retracted.
+/// auxiliary definitions are purged).  Edges carry only that
+/// problem/learnt provenance, while removable clauses are retracted
+/// through stable arena slots (solver::remove_clause), so they stay
+/// watched arena clauses.
 #pragma once
 
 #include "sat/types.hpp"
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace stps::sat {
@@ -45,8 +43,7 @@ public:
   void add(lit a, lit b, bool learnt);
 
   /// Removes one copy of the clause (a ∨ b) with matching provenance;
-  /// returns false when no such clause is present (e.g. already removed
-  /// by an earlier purge or an inprocessing rebuild).
+  /// returns false when no such clause is present.
   bool remove(lit a, lit b, bool learnt);
 
   /// Literals implied by \p l being true.
@@ -58,10 +55,6 @@ public:
     const auto& list = implications_[l.x];
     return {list.data(), list.size()};
   }
-
-  /// Drops every clause (inprocessing rebuilds the graph after an
-  /// equivalent-literal substitution).  Lifetime counters keep counting.
-  void clear();
 
   uint64_t live_problem() const noexcept { return live_problem_; }
   uint64_t live_learnt() const noexcept { return live_learnt_; }
@@ -85,24 +78,6 @@ public:
       }
     }
   }
-
-  /// Equivalent-literal classes of the implication graph, restricted to
-  /// unassigned variables.
-  struct equivalences
-  {
-    /// (variable, representative literal of its positive phase) pairs,
-    /// ascending by variable; the representative variable itself never
-    /// appears on the left.
-    std::vector<std::pair<var, lit>> mapped;
-    /// A variable is equivalent to its own negation — the database is
-    /// unsatisfiable.
-    bool contradiction = false;
-  };
-
-  /// Tarjan SCC over the implication graph (iterative, deterministic).
-  /// \p assigns gates participation: edges touching an assigned
-  /// variable are ignored (their implications are level-0 facts).
-  equivalences compute_equivalences(std::span<const lbool> assigns) const;
 
 private:
   std::vector<std::vector<edge>> implications_; ///< indexed by lit.x

@@ -97,10 +97,6 @@ public:
   /// memory is reclaimed by the next garbage collection.
   void free_clause(cref cr) noexcept;
 
-  /// Accounts the words dropped when a clause shrinks in place
-  /// (inprocessing rewrites clauses without moving them).
-  void note_shrunk(uint32_t words) noexcept { wasted_ += words; }
-
   bool want_gc() const noexcept
   {
     return wasted_ != 0u && wasted_ * 5u > mem_.size();

@@ -1,7 +1,5 @@
 #include "sat/cnf_manager.hpp"
 
-#include "sat/inprocess.hpp"
-
 namespace stps::sat {
 
 namespace {
@@ -17,23 +15,13 @@ void accumulate(solver_stats& into, const solver_stats& s)
   into.learnts_reduced += s.learnts_reduced;
   into.lbd_sum += s.lbd_sum;
   into.binary_clauses += s.binary_clauses;
-  into.lits_collapsed += s.lits_collapsed;
-  into.clauses_subsumed += s.clauses_subsumed;
-  into.inprocess_seconds += s.inprocess_seconds;
-}
-
-solver_options make_solver_options(const cnf_manager::params& p)
-{
-  solver_options opt;
-  opt.reduce_learnts = p.sat_reduce_learnts;
-  return opt;
 }
 
 } // namespace
 
 cnf_manager::cnf_manager(const net::aig_network& aig, params p)
     : aig_{aig}, params_{p},
-      solver_{std::make_unique<solver>(make_solver_options(p))},
+      solver_{std::make_unique<solver>()},
       encoder_{std::make_unique<aig_encoder>(
           aig_, *solver_, aig_encoder::options{p.cone_scoped_decisions})},
       reseed_on_{p.phase_reseed_sat_per_mille != 0u},
@@ -73,7 +61,6 @@ void cnf_manager::begin_query()
       fault_queries_ % params_.faults.rebuild_every == 0u;
   if ((params_.incremental || !used_) && !over_budget && !forced_rebuild) {
     used_ = true;
-    maybe_inprocess();
     return;
   }
   // New epoch: retire the pair, start empty.  The encoder must be
@@ -93,10 +80,9 @@ void cnf_manager::begin_query()
     have_carried_ = true;
   }
   encoder_.reset();
-  solver_ = std::make_unique<solver>(make_solver_options(params_));
+  solver_ = std::make_unique<solver>();
   encoder_ = std::make_unique<aig_encoder>(
       aig_, *solver_, aig_encoder::options{params_.cone_scoped_decisions});
-  inprocess_tick_ = 0; // fresh epoch: nothing to simplify yet
   if (have_carried_) {
     encoder_->set_carried_state(&carried_);
   }
@@ -106,26 +92,6 @@ void cnf_manager::begin_query()
   encoder_->set_phase_reseed(reseed_on_);
   encoder_->set_resource_hooks(params_.hooks);
   used_ = true;
-}
-
-void cnf_manager::maybe_inprocess()
-{
-  if (!params_.inprocess || params_.inprocess_interval == 0u) {
-    return;
-  }
-  ++inprocess_tick_;
-  if (inprocess_tick_ % params_.inprocess_interval != 0u) {
-    return;
-  }
-  const uint64_t clauses = static_cast<uint64_t>(solver_->num_clauses()) +
-                           static_cast<uint64_t>(solver_->num_learnts());
-  if (clauses < params_.inprocess_min_clauses) {
-    return;
-  }
-  if (params_.hooks != nullptr && params_.hooks->should_stop()) {
-    return;
-  }
-  inprocessor::run(*solver_, inprocessor::limits{}, params_.hooks);
 }
 
 bool cnf_manager::fault_unknown_now()

@@ -78,24 +78,6 @@ public:
     /// applying).  0 = never re-seed per query.
     uint32_t phase_reseed_sat_per_mille = 125;
     uint64_t phase_reseed_warmup = 64;
-    /// Glue/activity-ranked learnt-clause reduction inside the solver
-    /// (solver_options::reduce_learnts).  Off = learnt clauses only
-    /// leave the database via purges and garbage epochs — the
-    /// epoch-only baseline the `sat_clauses_peak` delta is measured
-    /// against.
-    bool sat_reduce_learnts = true;
-    /// Between-query inprocessing (sat/inprocess.hpp): equivalent-
-    /// literal collapsing over the binary implication graph, budgeted
-    /// backward subsumption, and bounded vivification, run at query
-    /// entry (decision level 0, no removable clauses attached) every
-    /// `inprocess_interval` queries once the database holds at least
-    /// `inprocess_min_clauses` clauses.  The schedule counts query
-    /// entries per epoch (the tick resets on rebuild — a fresh database
-    /// has nothing to simplify), so it is deterministic: no wall-clock
-    /// gating.  false = never inprocess.
-    bool inprocess = true;
-    uint64_t inprocess_interval = 2048;
-    uint64_t inprocess_min_clauses = 4096;
     /// Cooperative resource governance (sweep::resource_governor
     /// implements the interface): forwarded to the encoder + solver of
     /// every epoch, so deadlines/budgets/cancellation survive garbage
@@ -174,11 +156,6 @@ private:
   /// Applies the rebuild policy (including `fault_plan::rebuild_every`);
   /// called at every query entry.
   void begin_query();
-  /// Runs the inprocessing schedule (see params); called at the end of
-  /// begin_query, i.e. always at decision level 0 with no removable
-  /// clauses attached and never between a `sat` answer and its
-  /// `model_inputs()` read.
-  void maybe_inprocess();
   /// Feeds the adaptive re-seeding switch with a query's outcome.
   void note_answer(bool satisfiable);
   /// True when `fault_plan::unknown_every` forces this equivalence
@@ -201,7 +178,6 @@ private:
   uint64_t phase_seeds_retired_ = 0;
   uint64_t rebuilds_ = 0;
   uint64_t clauses_peak_ = 0;
-  uint64_t inprocess_tick_ = 0; ///< query entries this epoch (schedule)
   uint64_t fault_queries_ = 0;       ///< query entries (fault schedule)
   uint64_t fault_equiv_queries_ = 0; ///< equivalence queries (ditto)
   uint64_t fault_rng_ = 0;           ///< xorshift64 state (seeded plans)

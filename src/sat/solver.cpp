@@ -168,8 +168,8 @@ solver::clause_handle solver::add_removable_clause(std::span<const lit> lits)
     return nullptr;
   }
   // Removables always stay watched arena clauses — never the binary
-  // graph, where a later retraction could not undo an equivalence the
-  // inprocessor already collapsed on.
+  // graph: retraction goes through the stable slot below, and graph
+  // edges only record problem/learnt provenance.
   const cref cr = db_.alloc(out, false, 0u);
   attach(cr);
   uint32_t slot;
@@ -204,10 +204,12 @@ void solver::purge_learnts_with(var v)
   for (std::size_t i = 0; i < learnt_log_.size(); ++i) {
     const learnt_record rec = learnt_log_[i];
     if (rec.cr == cref_undef) {
-      // Implicit learnt binary; the graph may already have dropped it
-      // (an earlier purge or an inprocessing rebuild), hence no assert.
+      // Implicit learnt binary: it stays in the graph until the purge
+      // that drops its record from the log.
       if (rec.a.variable() == v || rec.b.variable() == v) {
-        bin_.remove(rec.a, rec.b, true);
+        const bool removed = bin_.remove(rec.a, rec.b, true);
+        assert(removed);
+        (void)removed;
         continue;
       }
       learnt_log_[j++] = rec;
@@ -547,9 +549,7 @@ void solver::backtrack(uint32_t level)
   const std::size_t bound = trail_lim_[level];
   for (std::size_t i = trail_.size(); i-- > bound;) {
     const var v = trail_[i].variable();
-    if (!preserve_phases_) {
-      polarity_[v] = assigns_[v] == lbool::l_false;
-    }
+    polarity_[v] = assigns_[v] == lbool::l_false;
     assigns_[v] = lbool::l_undef;
     reason_[v] = reason_none;
     if (decision_[v] && !heap_contains(v)) {

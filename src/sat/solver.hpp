@@ -11,9 +11,8 @@
 /// (sat/binary_graph.hpp), first-UIP learning with clause minimization
 /// and learn-time LBD, VSIDS decision heap with phase saving, Luby
 /// restarts, and glue/activity-ranked learnt-clause reduction.  This
-/// file orchestrates search and propagation only; clause storage, the
-/// binary implication graph, and between-query inprocessing live in
-/// their own modules.
+/// file orchestrates search and propagation only; clause storage and
+/// the binary implication graph live in their own modules.
 #pragma once
 
 #include "sat/binary_graph.hpp"
@@ -43,27 +42,23 @@ struct solver_stats
   uint64_t learnts_reduced = 0;  ///< learnt clauses deleted by reduce_db
   uint64_t lbd_sum = 0;          ///< Σ learn-time LBD over learnt clauses
   uint64_t binary_clauses = 0;   ///< binary clauses ever added
-  uint64_t lits_collapsed = 0;   ///< variables eliminated by equiv collapsing
-  uint64_t clauses_subsumed = 0; ///< clauses deleted by backward subsumption
-  double inprocess_seconds = 0.0; ///< wall-clock spent inprocessing
   /// \}
 };
 
 /// Clause-database policy switches.  The defaults are the production
-/// configuration; the ablation/naive paths exist so tests and bench
-/// rows can pin the new machinery against the plain watched-clause
-/// solver (verdicts must be identical, trajectories may differ).
+/// configuration; the naive paths exist so tests can pin the machinery
+/// against the plain watched-clause solver (verdicts must be identical,
+/// trajectories may differ).
 struct solver_options
 {
   /// Glue/activity-ranked learnt reduction (reduce_db).  Off = learnts
-  /// only ever leave via purges and garbage epochs (the epoch-only
-  /// baseline the `sat_clauses_peak` delta is measured against).
+  /// only ever leave via purges and garbage epochs.  Sweeps always run
+  /// with it on; off is the naive reference path of the solver tests.
   bool reduce_learnts = true;
   /// Problem/learnt binary clauses live in the binary implication graph
   /// with the dedicated propagation fast path.  Off = every binary is a
   /// watched arena clause (the naive path).  Removable clauses always
-  /// stay watched — a retractable clause must never bake an equivalence
-  /// into the graph.
+  /// stay watched: they are retracted through stable arena slots.
   bool implicit_binaries = true;
   /// reduce_db triggers once the arena learnts exceed this; each
   /// reduction raises the limit by `reduce_increment` (persistent
@@ -163,10 +158,7 @@ public:
   /// propagation-closed assignment of the listed variables always
   /// extends to a total model.  The caller must list the full *encoded*
   /// support closure of the query, or partial models may not extend.
-  /// (Equivalent-literal collapsing preserves this: an eliminated
-  /// variable keeps its defining equivalence binaries, so it and its
-  /// representative propagate each other eagerly.)  Must be called at
-  /// decision level 0.
+  /// Must be called at decision level 0.
   void set_decision_vars(std::span<const var> vars);
 
   /// Installs (or clears, with nullptr) the cooperative resource hooks
@@ -216,8 +208,6 @@ public:
                     bool include_learnts = false) const;
 
 private:
-  friend class inprocessor; // between-query simplification (inprocess.hpp)
-
   /// Watcher entry for arena clauses.  Binary arena clauses (the only
   /// binaries outside the implication graph: removables always, every
   /// binary when `implicit_binaries` is off) keep the blocker-only fast
@@ -314,7 +304,6 @@ private:
   solver_options opt_;
   bool ok_ = true;
   bool restricted_ = false;       // set_decision_vars has been used
-  bool preserve_phases_ = false;  // backtrack skips phase saving (inprocess)
   std::vector<uint8_t> decision_; // var → may be picked by pick_branch
   std::vector<var> decision_list_; // vars currently flagged (restricted)
 

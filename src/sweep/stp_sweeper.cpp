@@ -736,10 +736,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.incremental = params.use_incremental_cnf;
   cnf_params.clause_budget = params.sat_clause_budget;
   cnf_params.cone_scoped_decisions = params.use_cone_scoped_decisions;
-  cnf_params.sat_reduce_learnts = params.sat_reduce;
-  cnf_params.inprocess = params.sat_inprocess;
-  cnf_params.inprocess_interval = params.sat_inprocess_interval;
-  cnf_params.inprocess_min_clauses = params.sat_inprocess_min_clauses;
   cnf_params.hooks = params.governor;
   cnf_params.faults = params.faults;
   sat::cnf_manager cnf{aig, cnf_params};
@@ -942,13 +938,11 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     stats.sat_clauses_peak += ss.sat_clauses_peak;
     stats.sat_conflicts += ss.sat_conflicts;
     stats.sat_decisions += ss.sat_decisions;
+    stats.sat_propagations += ss.sat_propagations;
     stats.sat_restarts += ss.sat_restarts;
     stats.sat_learnts_reduced += ss.sat_learnts_reduced;
     stats.sat_lbd_sum += ss.sat_lbd_sum;
     stats.sat_binary_clauses += ss.sat_binary_clauses;
-    stats.sat_lits_collapsed += ss.sat_lits_collapsed;
-    stats.sat_clauses_subsumed += ss.sat_clauses_subsumed;
-    stats.sat_inprocess_seconds += ss.sat_inprocess_seconds;
     stats.phase_seed_words += ss.phase_seed_words;
     stats.store_words_live += ss.store_words_live;
     stats.store_words_trimmed += ss.store_words_trimmed;

@@ -147,23 +147,6 @@ struct stp_sweep_params
   /// phase/activity carried across SAT garbage epochs for cones that
   /// re-encode.  false = unrestricted decisions, cold rebuilds.
   bool use_cone_scoped_decisions = true;
-  /// Glue/activity-ranked learnt-clause reduction inside the solver
-  /// (sat::solver_options::reduce_learnts).  false = learnts only leave
-  /// via purges and garbage epochs — the epoch-only baseline the
-  /// `sat_clauses_peak` delta is measured against (bench `--sat-reduce`).
-  bool sat_reduce = true;
-  /// Between-query inprocessing (sat/inprocess.hpp): equivalent-literal
-  /// collapsing, budgeted backward subsumption, bounded vivification on
-  /// the cnf_manager's deterministic query-interval schedule (bench
-  /// `--sat-inprocess`).
-  bool sat_inprocess = true;
-  /// Inprocessing schedule (sat::cnf_manager::params): run every this
-  /// many query entries per epoch, once the database holds at least
-  /// `sat_inprocess_min_clauses` clauses.  The defaults match the
-  /// manager's; tests shrink both to force the phases on instances far
-  /// below production size.
-  uint64_t sat_inprocess_interval = 2048;
-  uint64_t sat_inprocess_min_clauses = 4096;
 
   int64_t conflict_budget = -1;  ///< equivalence queries; -1 = unlimited
 

@@ -12,13 +12,11 @@ void copy_cnf_counters(const sat::cnf_manager& cnf, sweep_stats& stats)
   const sat::solver_stats totals = cnf.solver_statistics();
   stats.sat_conflicts = totals.conflicts;
   stats.sat_decisions = totals.decisions;
+  stats.sat_propagations = totals.propagations;
   stats.sat_restarts = totals.restarts;
   stats.sat_learnts_reduced = totals.learnts_reduced;
   stats.sat_lbd_sum = totals.lbd_sum;
   stats.sat_binary_clauses = totals.binary_clauses;
-  stats.sat_lits_collapsed = totals.lits_collapsed;
-  stats.sat_clauses_subsumed = totals.clauses_subsumed;
-  stats.sat_inprocess_seconds = totals.inprocess_seconds;
   stats.phase_seed_words = cnf.phase_seeds();
 }
 

@@ -120,6 +120,9 @@ struct sweep_stats
   /// \{
   uint64_t sat_conflicts = 0;
   uint64_t sat_decisions = 0;
+  /// Literals assigned by unit propagation (solver::propagate, the top
+  /// SAT cost in profiles).
+  uint64_t sat_propagations = 0;
   uint64_t sat_restarts = 0;
   /// Solver variables whose saved polarity was seeded from a signature
   /// word at encode time (0 when `use_signature_phase` is off or for
@@ -128,17 +131,18 @@ struct sweep_stats
   /// \}
 
   /// \name Clause-database policy counters (solver_stats, all rebuilds)
-  /// The memory-pressure trajectory: reduce_db + inprocessing keep the
-  /// long-lived incremental database lean *between* garbage epochs, so
+  /// The memory-pressure trajectory: reduce_db keeps the long-lived
+  /// incremental database lean *between* garbage epochs, so
   /// `sat_clauses_peak` stops riding the clause budget on query-heavy
   /// rows.
   /// \{
   uint64_t sat_learnts_reduced = 0; ///< learnts deleted by reduce_db
   uint64_t sat_lbd_sum = 0;         ///< Σ learn-time LBD (avg = /learnts)
   uint64_t sat_binary_clauses = 0;  ///< clauses routed to the binary graph
-  uint64_t sat_lits_collapsed = 0;  ///< vars eliminated by equiv collapsing
-  uint64_t sat_clauses_subsumed = 0; ///< clauses deleted by subsumption
-  double sat_inprocess_seconds = 0.0; ///< wall-clock spent inprocessing
+  /// Always 0: the solver runs no between-query inprocessing.  Kept
+  /// only because the benchmark harness (perfbench) still reads it as
+  /// `sat.inprocess_s`; drop it together with that reader.
+  double sat_inprocess_seconds = 0.0;
   /// \}
 
   /// \name Signature-store memory counters (candidate + CE stores)

@@ -6,7 +6,9 @@
 /// unsigned types (`-1` silently becomes 2^64 - 1), and ignore trailing
 /// garbage.  `parse_number` accepts exactly one decimal number spanning
 /// the whole argument; `parse_arg_or_exit` turns a rejection into a
-/// usage message and exit status 2.
+/// usage message and exit status 2.  `option_value` and `usage_exit`
+/// give unknown options and options missing their value the same
+/// treatment, so a mistyped command line never runs something else.
 #pragma once
 
 #include <charconv>
@@ -38,6 +40,27 @@ std::optional<T> parse_number(std::string_view text)
     }
   }
   return value;
+}
+
+/// Prints "\p problem '\p arg'" and \p usage to stderr and exits with
+/// status 2.
+[[noreturn]] inline void usage_exit(const char* problem, const char* arg,
+                                    const char* usage)
+{
+  std::fprintf(stderr, "%s '%s'\n%s", problem, arg, usage);
+  std::exit(2);
+}
+
+/// Consumes and returns the value of option argv[i], advancing \p i
+/// past it; exits through `usage_exit` when argv[i] is the last
+/// argument.
+inline const char* option_value(int argc, char** argv, int& i,
+                                const char* usage)
+{
+  if (i + 1 >= argc) {
+    usage_exit("missing value for", argv[i], usage);
+  }
+  return argv[++i];
 }
 
 /// Stores the value \p text of option \p flag in \p out; on a malformed

@@ -97,30 +97,15 @@ struct stp_variant
   bool signature_phase;
   bool cone_scoped;
   bool round2_group;
-  /// Clause-database policy columns (PR 10), folded into the existing
-  /// variants so the matrix stays 24 sweeps: reduce_db on/off,
-  /// inprocessing on/off, and an aggressive inprocessing interval so
-  /// the collapse/subsume/vivify phases actually fire on these small
-  /// instances (the production interval of 2048 queries would never
-  /// trigger here).
-  bool sat_reduce;
-  bool sat_inprocess;
-  uint64_t inprocess_interval;
 };
 
 constexpr stp_variant variants[] = {
-    {"default", true, 4'000'000u, 8u, true, 1u, true, true, true,
-     true, true, 64u},
-    {"scratch", false, 0u, 0u, true, 1u, false, true, true,
-     false, false, 0u},
-    {"tiny_epochs", true, 64u, 8u, false, 2u, true, true, false,
-     true, true, 16u},
-    {"unbounded", true, 0u, 0u, false, 0u, false, false, false,
-     false, true, 32u},
-    {"tight_store", true, 4'000'000u, 1u, true, 0u, true, false, true,
-     true, false, 0u},
-    {"scratch_tight", false, 0u, 1u, false, 1u, false, false, false,
-     false, false, 0u},
+    {"default", true, 4'000'000u, 8u, true, 1u, true, true, true},
+    {"scratch", false, 0u, 0u, true, 1u, false, true, true},
+    {"tiny_epochs", true, 64u, 8u, false, 2u, true, true, false},
+    {"unbounded", true, 0u, 0u, false, 0u, false, false, false},
+    {"tight_store", true, 4'000'000u, 1u, true, 0u, true, false, true},
+    {"scratch_tight", false, 0u, 1u, false, 1u, false, false, false},
 };
 
 struct engine_choice
@@ -162,12 +147,6 @@ sweep::stp_sweep_params make_params(const engine_choice& e,
   params.use_signature_phase = v.signature_phase;
   params.use_cone_scoped_decisions = v.cone_scoped;
   params.guided.round2_group_by_signature = v.round2_group;
-  params.sat_reduce = v.sat_reduce;
-  params.sat_inprocess = v.sat_inprocess;
-  if (v.inprocess_interval != 0u) {
-    params.sat_inprocess_interval = v.inprocess_interval;
-    params.sat_inprocess_min_clauses = 64u; // fire on tiny databases too
-  }
   return params;
 }
 
@@ -315,6 +294,7 @@ TEST(Differential, SeededSweepsAreDeterministic)
       // must agree on the solver search itself, byte for byte.
       EXPECT_EQ(a.sat_conflicts, b.sat_conflicts);
       EXPECT_EQ(a.sat_decisions, b.sat_decisions);
+      EXPECT_EQ(a.sat_propagations, b.sat_propagations);
       EXPECT_EQ(a.sat_restarts, b.sat_restarts);
       EXPECT_EQ(a.phase_seed_words, b.phase_seed_words);
       EXPECT_EQ(a.store_words_live, b.store_words_live);

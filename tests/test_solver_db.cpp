@@ -1,7 +1,6 @@
 /// \file test_solver_db.cpp
-/// \brief Clause-database policy suite (PR 10): the reduce_db /
-/// implicit-binary / inprocessing machinery against the naive
-/// watched-clause path.
+/// \brief Clause-database policy suite: the reduce_db / implicit-binary
+/// machinery against the naive watched-clause path.
 ///
 /// Strategy: build a corpus of random 3-SAT instances around the phase
 /// transition plus structured instances (pigeonhole, an XOR-chain
@@ -12,17 +11,14 @@
 /// knobs are shrunk (reduce_base = 8) so reductions actually fire on
 /// these tiny instances — a separate test asserts they did.
 ///
-/// The inprocessor phases (equivalent-literal collapsing, backward
-/// subsumption, bounded vivification) get crafted unit instances each,
-/// and the dimacs export/replay path is closed into a round-trip:
-/// a query exported from any config must replay to the same verdict
-/// under any other config.
+/// The dimacs export/replay path is closed into a round-trip: a query
+/// exported from any config must replay to the same verdict under any
+/// other config.
 
 #include "gen/arithmetic.hpp"
 #include "sat/cnf_manager.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/encoder.hpp"
-#include "sat/inprocess.hpp"
 #include "sat/solver.hpp"
 
 #include <gtest/gtest.h>
@@ -342,85 +338,6 @@ TEST(SolverDb, PurgeSoundUnderReduceAndGarbageCollection)
     }
   }
   EXPECT_GT(s.stats().learnts_reduced, 0u);
-}
-
-TEST(SolverDb, InprocessCollapsesEquivalentLiterals)
-{
-  solver s; // defaults: implicit binaries on
-  for (int i = 0; i < 6; ++i) {
-    s.new_var();
-  }
-  // a <-> b through the binary graph, plus ternary clauses on both
-  // names that collapsing rewrites onto one representative.
-  s.add_clause({neg(0), pos(1)});
-  s.add_clause({neg(1), pos(0)});
-  s.add_clause({pos(0), pos(2), pos(3)});
-  s.add_clause({neg(1), pos(4), pos(5)});
-  s.add_clause({pos(2), neg(4)});
-
-  const inprocessor::outcome out = inprocessor::run(s, {}, nullptr);
-  EXPECT_FALSE(out.unsat);
-  EXPECT_GE(out.lits_collapsed, 1u);
-  EXPECT_EQ(s.stats().lits_collapsed, out.lits_collapsed);
-
-  // The equivalence must survive in the database: a and b agree in
-  // every model, in both phases.
-  const lit force_a[1] = {pos(0)};
-  ASSERT_EQ(s.solve(force_a), result::sat);
-  EXPECT_EQ(s.model_value(0), s.model_value(1));
-  const lit force_na[1] = {neg(0)};
-  ASSERT_EQ(s.solve(force_na), result::sat);
-  EXPECT_EQ(s.model_value(0), s.model_value(1));
-}
-
-TEST(SolverDb, InprocessDetectsContradictoryScc)
-{
-  solver s;
-  for (int i = 0; i < 3; ++i) {
-    s.new_var();
-  }
-  // a -> b -> !a -> c -> a: a and !a share an SCC, database unsat —
-  // pure binary structure no unit propagation can see.
-  s.add_clause({neg(0), pos(1)});
-  s.add_clause({neg(1), neg(0)});
-  s.add_clause({pos(0), pos(2)});
-  s.add_clause({neg(2), pos(0)});
-
-  const inprocessor::outcome out = inprocessor::run(s, {}, nullptr);
-  EXPECT_TRUE(out.unsat);
-  EXPECT_EQ(s.solve(), result::unsat);
-}
-
-TEST(SolverDb, InprocessSubsumesAndVivifies)
-{
-  solver s;
-  for (int i = 0; i < 8; ++i) {
-    s.new_var();
-  }
-  // (a | b) subsumes (a | b | c) — binary subsumer from the graph.
-  s.add_clause({pos(0), pos(1)});
-  s.add_clause({pos(0), pos(1), pos(2)});
-  // c -> a strengthens (a | b2 | c) to (a | b2): vivification assumes
-  // !a (propagating !c through the graph), then finds c already false.
-  s.add_clause({neg(2), pos(0)});
-  s.add_clause({pos(0), pos(3), pos(2)});
-  // untouched filler keeping the instance satisfiable and non-trivial
-  s.add_clause({pos(4), pos(5), pos(6)});
-  s.add_clause({neg(4), pos(7), neg(6)});
-
-  const std::size_t clauses_before = s.num_clauses();
-  const inprocessor::outcome out = inprocessor::run(s, {}, nullptr);
-  EXPECT_FALSE(out.unsat);
-  EXPECT_GE(out.clauses_subsumed, 1u);
-  EXPECT_GE(out.clauses_strengthened, 1u);
-  EXPECT_LT(s.num_clauses(), clauses_before);
-  EXPECT_EQ(s.stats().clauses_subsumed, out.clauses_subsumed);
-
-  // The strengthened clause (a | b2) must now be enforced: refuting
-  // both literals leaves no model.
-  const lit refute[2] = {neg(0), neg(3)};
-  EXPECT_EQ(s.solve(refute), result::unsat);
-  ASSERT_EQ(s.solve(), result::sat);
 }
 
 /// Export a query from every config, replay it under every config:
