@@ -62,8 +62,9 @@
 /// The sweep trajectory is a function of the *shard* count only, so
 /// `--threads 4 --shards 4` and `--threads 1 --shards 4` emit
 /// byte-identical counters — the determinism pin.  STP rows gain
-/// `threads`/`sat_shards`/`workers_used`/`worker_sat_seconds` keys; the
-/// ablation re-sweep runs at the same thread/shard configuration.
+/// `threads`/`sat_shards`/`workers_used`/`worker_sat_seconds` keys and
+/// the wall-clock phase times `prologue_seconds`/`sat_phase_seconds`;
+/// the ablation re-sweep runs at the same thread/shard configuration.
 #include "gen/benchmarks.hpp"
 #include "network/traversal.hpp"
 #include "sweep/cec.hpp"
@@ -200,8 +201,9 @@ void write_engine_json(std::FILE* f, const char* key,
   }
   // Parallel SAT phase: emitted only for sweeps that report per-worker
   // accounting (the STP rows; fraig stays single-threaded).  At
-  // threads > 1 the *_seconds keys are per-worker sums, and SAT
-  // counters are sums over per-shard managers (learnt-clause state is
+  // threads > 1 `sim_seconds`/`sat_seconds` are per-worker sums while
+  // the two phase times are wall time, and SAT counters are sums over
+  // the per-slice and per-shard managers (learnt-clause state is
   // per manager, so sharded totals differ from the single-shard run —
   // compare ratios within one configuration; see bench/README.md).
   if (!s.worker_sat_seconds.empty()) {
@@ -213,7 +215,9 @@ void write_engine_json(std::FILE* f, const char* key,
       std::fprintf(f, "%s%.6f", w == 0u ? "" : ", ",
                    s.worker_sat_seconds[w]);
     }
-    std::fprintf(f, "], ");
+    std::fprintf(f, "], \"prologue_seconds\": %.6f, "
+                 "\"sat_phase_seconds\": %.6f, ",
+                 s.prologue_seconds, s.sat_phase_seconds);
   }
   if (s.has_store_counters) {
     std::fprintf(f,
@@ -402,6 +406,7 @@ int main(int argc, char** argv)
               "Benchmark", "PI/PO", "Lev", "Gate", "Result", "sat-F",
               "sat-S", "tot-F", "tot-S", "sim-F", "sim-S", "time-F",
               "time-S", "x");
+  std::fflush(stdout);
 
   std::vector<double> g_sat_f, g_sat_s, g_tot_f, g_tot_s, g_sim_f, g_sim_s,
       g_time_f, g_time_s, g_gate, g_result;
@@ -526,6 +531,7 @@ int main(int argc, char** argv)
                 fs.sim_seconds, ss.sim_seconds, fs.total_seconds,
                 ss.total_seconds, ss.total_seconds / fs.total_seconds,
                 outcome_note, ok ? "" : "  [CEC FAILED]");
+    std::fflush(stdout); // rows show up live when stdout is a pipe or file
 
     json_rows.push_back({name, original.num_pis(), original.num_pos(),
                          fs.levels_before, fs.gates_before, ss.gates_after,

@@ -113,9 +113,6 @@ public:
   void end_gc();
   /// \}
 
-  std::size_t wasted() const noexcept { return wasted_; }
-  std::size_t used_words() const noexcept { return mem_.size(); }
-
 private:
   std::vector<uint32_t> mem_;
   std::vector<uint32_t> to_; ///< GC target pool

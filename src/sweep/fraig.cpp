@@ -72,7 +72,7 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    copy_cnf_counters(cnf, stats);
+    add_cnf_counters(cnf, stats);
     stats.total_seconds = seconds_since(t_total);
     return stats;
   }
@@ -235,7 +235,7 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
 
   aig.cleanup_dangling();
   stats.gates_after = aig.num_gates();
-  copy_cnf_counters(cnf, stats);
+  add_cnf_counters(cnf, stats);
   stats.total_seconds = seconds_since(t_total);
   return stats;
 }

@@ -14,14 +14,37 @@
 /// * **Round 2** — for gates whose signature has only a few ones (or
 ///   zeros), ask SAT for assignments producing the minority value, so
 ///   signatures gain toggles and distinguish more class candidates.
+///
+/// **Slices.**  Both rounds run as S independent *slices*, one per
+/// supplied `cnf_manager`, on a `worker_pool`.  A slice reads the
+/// merged signatures of the round's start (shared, read-only), keeps a
+/// private copy of only the newest pattern word, and absorbs its own
+/// witnesses incrementally into that copy.  The calling thread merges
+/// the slices after each round, always in slice order:
+///
+/// * round 1: slice s queries the constant candidates with `n % S == s`;
+/// * merge 1: the patterns are the random base, then slice 0's
+///   witnesses in absorb order, then slice 1's, …; proven constants are
+///   the union ordered by (round-1 iteration, node id); the merged set
+///   is re-simulated once;
+/// * round 2: the signature groups are built and ranked once from the
+///   merged signatures, the group of rank r goes to slice r % S, and
+///   the per-slice query quotas sum to exactly `max_round2_queries`;
+/// * merge 2: the witnesses are appended in slice order again.
+///
+/// The result is a pure function of S, never of the thread count.  One
+/// slice is the sequential algorithm: every query sees exactly the
+/// signatures it saw when one loop absorbed every witness.
 #pragma once
 
 #include "network/aig.hpp"
 #include "sat/cnf_manager.hpp"
 #include "sim/patterns.hpp"
 #include "sweep/resource_governor.hpp"
+#include "sweep/worker_pool.hpp"
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,7 +57,7 @@ struct guided_pattern_config
   int64_t conflict_budget = 1000;  ///< per-query budget (unknown → skip)
   uint32_t round1_iterations = 2;  ///< re-simulate & retry rounds
   uint64_t round2_ones_threshold = 2;  ///< "few ones" bound for round 2
-  std::size_t max_round2_queries = 512;
+  std::size_t max_round2_queries = 512; ///< summed over every slice
   /// Round-2 queries re-targeted by signature-group entropy: candidates
   /// are grouped by their complement-normalized signature (prospective
   /// equivalence classes), groups are ranked by minority-bit count
@@ -49,29 +72,39 @@ struct guided_pattern_config
   /// its flag — the fraig baseline leaves it off).
   bool use_signature_phase = false;
   /// Resource governor of the enclosing sweep job (non-owning; null =
-  /// ungoverned).  Both rounds poll it between queries and return the
-  /// patterns generated so far when it trips — a partial pattern set is
-  /// still a valid pattern set, and `proven_constants` only ever holds
-  /// completed UNSAT proofs.
+  /// ungoverned).  Every slice polls it between queries; when it trips,
+  /// the slices stop and the merged patterns generated so far are
+  /// returned — a partial pattern set is still a valid pattern set, and
+  /// `proven_constants` only ever holds completed UNSAT proofs.
   resource_governor* governor = nullptr;
 };
 
 struct guided_pattern_result
 {
   sim::pattern_set patterns;
-  /// Gates proven constant in round 1: (node, constant value).
+  /// Gates proven constant in round 1: (node, constant value), ordered
+  /// by (round-1 iteration, node id).
   std::vector<std::pair<net::node, bool>> proven_constants;
   uint64_t sat_calls = 0;        ///< total SAT queries issued
   uint64_t satisfiable_calls = 0;
   uint64_t patterns_added = 0;   ///< guided patterns appended to the base
+  /// Busy time, summed over the slices (and the merges' re-simulation):
+  /// with several threads these exceed the wall time.
   double sim_seconds = 0.0;      ///< time in the simulator
   double sat_seconds = 0.0;      ///< time in the SAT queries
 };
 
-/// Runs both guidance rounds; the manager accumulates the circuit CNF, so
-/// passing the sweeper's own CNF manager shares encoded cones and learned
-/// clauses with the later equivalence queries (subject to its garbage
-/// policy).
+/// Runs both guidance rounds as `managers.size()` slices on \p pool
+/// (slice s queries on `*managers[s]` in both rounds).  The managers
+/// accumulate the circuit CNF, so a caller sweeping on with one of them
+/// shares its encoded cones and learned clauses with the later
+/// equivalence queries (subject to its garbage policy).  Throws
+/// std::invalid_argument when \p managers is empty.
+guided_pattern_result sat_guided_patterns(
+    const net::aig_network& aig, std::span<sat::cnf_manager* const> managers,
+    worker_pool& pool, const guided_pattern_config& config);
+
+/// One slice on the calling thread.
 guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
                                           sat::cnf_manager& cnf,
                                           const guided_pattern_config& config);

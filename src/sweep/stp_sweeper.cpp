@@ -379,7 +379,7 @@ public:
       stats_.ce_targets_pruned =
           escalated_ ? esc_pruned_ : cesim_->targets_pruned();
     }
-    copy_cnf_counters(cnf_, stats_);
+    add_cnf_counters(cnf_, stats_);
     stats_.has_store_counters = true;
     stats_.store_words_live =
         sig_.live_words() + cesim_->store().live_words();
@@ -738,12 +738,31 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.cone_scoped_decisions = params.use_cone_scoped_decisions;
   cnf_params.hooks = params.governor;
   cnf_params.faults = params.faults;
-  sat::cnf_manager cnf{aig, cnf_params};
+
+  // One pool serves both parallel phases: the guided-pattern slices and
+  // the SAT shards.  A lone worker is the calling thread (a 0-thread
+  // pool runs inline).
+  const uint32_t shards = params.effective_sat_shards();
+  const bool one_shard = shards == 1u;
+  const uint32_t workers_used =
+      std::min(std::max(params.threads, 1u), shards);
+  worker_pool pool{workers_used > 1u ? workers_used : 0u};
 
   // ---- Initial patterns (Alg. 2 line 2) + constant propagation (line 3).
   // The per-round simulation budget scales with the gate count (capped at
   // guided.base_patterns), so tiny instances stop over-investing in
-  // simulation.
+  // simulation.  The guidance runs as one slice per shard, each on its
+  // own manager (sat_patterns.hpp).  One shard keeps its slice's manager
+  // for the SAT phase — one solver from the first guided query to the
+  // last equivalence query.  Several shards book their slices' SAT
+  // effort and drop the managers before the shards build fresh ones.
+  const auto t_prologue = clock_type::now();
+  std::vector<std::unique_ptr<sat::cnf_manager>> slice_cnfs;
+  std::vector<sat::cnf_manager*> slice_ptrs;
+  for (uint32_t s = 0; s < shards; ++s) {
+    slice_cnfs.push_back(std::make_unique<sat::cnf_manager>(aig, cnf_params));
+    slice_ptrs.push_back(slice_cnfs.back().get());
+  }
   guided_pattern_config guided_config = params.guided;
   guided_config.base_patterns =
       scaled_pattern_budget(aig.num_gates(), params.guided.base_patterns);
@@ -753,8 +772,8 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   guided_config.governor = params.governor;
   sim::pattern_set patterns;
   if (params.use_guided_patterns) {
-    guided_pattern_result guided = sat_guided_patterns(aig, cnf,
-                                                       guided_config);
+    guided_pattern_result guided =
+        sat_guided_patterns(aig, slice_ptrs, pool, guided_config);
     patterns = std::move(guided.patterns);
     stats.sat_calls_total += guided.sat_calls;
     stats.sim_seconds += guided.sim_seconds;
@@ -770,8 +789,19 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     patterns = sim::pattern_set::random(
         aig.num_pis(), guided_config.base_patterns, guided_config.seed);
   }
+  // The one shard sweeps on with its slice's manager, whose totals then
+  // include the prologue's; otherwise the slices' effort is booked here.
+  const bool stopped_in_prologue =
+      params.governor != nullptr && params.governor->should_stop();
+  if (!one_shard || stopped_in_prologue) {
+    for (const auto& slice_cnf : slice_cnfs) {
+      add_cnf_counters(*slice_cnf, stats);
+    }
+    slice_cnfs.clear();
+  }
+  stats.prologue_seconds = seconds_since(t_prologue);
 
-  if (params.governor != nullptr && params.governor->should_stop()) {
+  if (stopped_in_prologue) {
     // Aborted during pattern generation: the constants applied above
     // are each a completed UNSAT proof, so the network is already a
     // sound partial result — finalize without building the class
@@ -780,7 +810,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    copy_cnf_counters(cnf, stats);
     stats.worker_sat_seconds = {0.0};
     stats.total_seconds = seconds_since(t_total);
     return stats;
@@ -841,8 +870,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // execute it.  One shard is the single-thread sweep: it takes the
   // prologue's manager and simulation state outright instead of copies.
   const std::vector<net::node> order = net::reverse_topo_order(aig);
-  const uint32_t shards = params.effective_sat_shards();
-  const bool one_shard = shards == 1u;
   std::vector<uint32_t> owner_of_class(classes.num_class_ids(),
                                        ~uint32_t{0});
   {
@@ -869,49 +896,42 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   };
   std::vector<shard_result> shard_results(shards);
 
-  const uint32_t workers_used =
-      std::min(std::max(params.threads, 1u), shards);
-  {
-    // A lone worker is the calling thread (a 0-thread pool runs inline).
-    worker_pool pool{workers_used > 1u ? workers_used : 0u};
-    pool.run(shards, [&](std::size_t s) {
-      shard_result& out = shard_results[s];
-      std::optional<sat::cnf_manager> fresh_cnf;
-      if (!one_shard) {
-        fresh_cnf.emplace(aig, cnf_params);
+  const auto t_sat_phase = clock_type::now();
+  pool.run(shards, [&](std::size_t s) {
+    shard_result& out = shard_results[s];
+    std::optional<sat::cnf_manager> fresh_cnf;
+    if (!one_shard) {
+      fresh_cnf.emplace(aig, cnf_params);
+    }
+    sat::cnf_manager& shard_cnf = one_shard ? *slice_cnfs.front() : *fresh_cnf;
+    hint_fn(shard_cnf);
+    equiv_classes shard_classes = take_or_copy(classes, one_shard);
+    for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
+      if (owner_of_class[c] != static_cast<uint32_t>(s)) {
+        shard_classes.dissolve_class(c);
       }
-      sat::cnf_manager& shard_cnf = one_shard ? cnf : *fresh_cnf;
-      hint_fn(shard_cnf);
-      equiv_classes shard_classes = take_or_copy(classes, one_shard);
-      for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
-        if (owner_of_class[c] != static_cast<uint32_t>(s)) {
-          shard_classes.dissolve_class(c);
-        }
-      }
-      sweep_core core{aig,
-                      params,
-                      shard_cnf,
-                      out.stats,
-                      stats.gates_before,
-                      take_or_copy(patterns, one_shard),
-                      take_or_copy(sig, one_shard),
-                      std::move(shard_classes),
-                      out.records};
-      core.run(shard_order[s]);
-      core.finalize_stats();
-      out.aborted = core.aborted();
-    });
-  }
+    }
+    sweep_core core{aig,
+                    params,
+                    shard_cnf,
+                    out.stats,
+                    stats.gates_before,
+                    take_or_copy(patterns, one_shard),
+                    take_or_copy(sig, one_shard),
+                    std::move(shard_classes),
+                    out.records};
+    core.run(shard_order[s]);
+    core.finalize_stats();
+    out.aborted = core.aborted();
+  });
+  stats.sat_phase_seconds = seconds_since(t_sat_phase);
 
   // ---- Merge the per-shard accounting (ascending shard order). ---------
-  // Counters are *sums over shards* on top of the prologue's (guided
-  // patterns ran on the main manager): `sat_clauses_peak` in particular
-  // is the sum of per-manager peaks, not a global simultaneous peak.  A
-  // single shard swept on the prologue's manager, whose totals already
-  // include the prologue's SAT effort.
-  if (!one_shard) {
-    copy_cnf_counters(cnf, stats);
-  }
+  // Counters are *sums over shards* on top of the prologue slices' (see
+  // above): `sat_clauses_peak` in particular is the sum of per-manager
+  // peaks, not a global simultaneous peak.  A single shard swept on its
+  // slice's manager, whose totals already include the prologue's SAT
+  // effort.
   stats.sat_shards = shards;
   stats.workers_used = workers_used;
   stats.worker_sat_seconds.assign(workers_used, 0.0);

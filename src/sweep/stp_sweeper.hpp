@@ -53,10 +53,11 @@
 ///    (16 per 1000 gates, at least 32) scale with gate count, capped at
 ///    `guided.base_patterns` / `guided.max_round2_queries`, so small
 ///    instances stop over-investing in simulation and guided SAT.
-/// 9. **One sweep path, sharded by class**: the candidate loop runs on
-///    `effective_sat_shards()` class shards over the frozen input AIG
-///    and records proven merges; a commit pass applies them afterwards.
-///    One shard is the single-thread sweep.
+/// 9. **One sweep path, sharded by class**: the guided-pattern prologue
+///    runs as `effective_sat_shards()` slices (sat_patterns.hpp), then
+///    the candidate loop runs on as many class shards over the frozen
+///    input AIG and records proven merges; a commit pass applies them
+///    afterwards.  One shard is the single-thread sweep.
 #pragma once
 
 #include "network/aig.hpp"
@@ -150,25 +151,31 @@ struct stp_sweep_params
 
   int64_t conflict_budget = -1;  ///< equivalence queries; -1 = unlimited
 
-  /// \name SAT phase (class-sharded)
+  /// \name Parallel prologue and SAT phase (sliced / class-sharded)
   /// \{
-  /// Worker threads for the SAT phase.  The candidate classes are
-  /// partitioned into `effective_sat_shards()` shards; each shard is
-  /// swept over the *frozen* input AIG with its own `sat::cnf_manager`
-  /// and its own signature/pattern/class state, recording proven merges
-  /// instead of applying them.  The recorded merges are then committed
-  /// on the calling thread in deterministic canonical order (ascending
-  /// node id).  The sweep *trajectory* is a pure function of the shard
+  /// Worker threads for the guided-pattern prologue and the SAT phase,
+  /// one pool for both.  The prologue runs as `effective_sat_shards()`
+  /// slices, each with its own `sat::cnf_manager`, merged on the
+  /// calling thread in slice order (sat_patterns.hpp).  Then the
+  /// candidate classes are partitioned into as many shards; each shard
+  /// is swept over the *frozen* input AIG with its own manager and its
+  /// own signature/pattern/class state, recording proven merges instead
+  /// of applying them.  The recorded merges are committed on the
+  /// calling thread in deterministic canonical order (ascending node
+  /// id).  The sweep *trajectory* is a pure function of the shard
   /// count — running 4 shards on 1 thread or on 4 threads is
   /// byte-identical in every counter and in the result network.  At
   /// most `effective_sat_shards()` threads run; a single worker is the
   /// calling thread itself.
   uint32_t threads = 1;
-  /// Shard count of the SAT phase; 0 = one shard per thread.  One shard
-  /// is the single-thread sweep: it reuses the manager and simulation
-  /// state of the guided-pattern prologue instead of fresh copies.
-  /// Fixing `sat_shards` while varying `threads` reproduces identical
-  /// sweeps at any parallelism (the determinism pin).
+  /// Shard count of the SAT phase and slice count of the prologue;
+  /// 0 = one per thread.  One shard is the single-thread sweep: one
+  /// prologue slice, whose manager and simulation state the shard then
+  /// reuses instead of fresh copies.  Several shards book their
+  /// slices' SAT counters and drop the slice managers before the shards
+  /// build fresh ones.  Fixing `sat_shards` while varying `threads`
+  /// reproduces identical sweeps at any parallelism (the determinism
+  /// pin).
   uint32_t sat_shards = 0;
 
   uint32_t effective_sat_shards() const noexcept

@@ -166,15 +166,30 @@ struct sweep_stats
   /// in `sat_seconds` only, so a one-shard sweep reports its shard's
   /// candidate-loop SAT time, not {sat_seconds}.
   std::vector<double> worker_sat_seconds;
+  /// Wall time of the initial-pattern prologue (Alg. 2 line 2: the
+  /// guided-pattern slices, their merges, and the proven constants'
+  /// substitution).
+  double prologue_seconds = 0.0;
+  /// Wall time of the class-sharded SAT phase (every shard, start to
+  /// the last one's end; the commit pass is not included).
+  double sat_phase_seconds = 0.0;
   /// \}
 
+  /// \name Busy time
+  /// Summed over every thread that did the work: with several workers
+  /// `sim_seconds` and `sat_seconds` exceed the wall time spent, and
+  /// `total_seconds − sim_seconds − sat_seconds` can go negative.  The
+  /// wall-clock phase times above say where the wall time went.
+  /// \{
   double sim_seconds = 0.0;   ///< "Simulation" (initial + CE)
-  double sat_seconds = 0.0;
-  double total_seconds = 0.0; ///< "Total runtime"
+  double sat_seconds = 0.0;   ///< SAT queries, prologue and shards
+  /// \}
+  double total_seconds = 0.0; ///< "Total runtime" (wall time)
 };
 
-/// Copies \p cnf's totals over every epoch into the CNF, search-effort,
-/// and clause-database counters of \p stats (assignment semantics).
-void copy_cnf_counters(const sat::cnf_manager& cnf, sweep_stats& stats);
+/// Adds \p cnf's totals over every epoch to the CNF, search-effort, and
+/// clause-database counters of \p stats — a sweep with several managers
+/// sums them (so `sat_clauses_peak` is a sum of per-manager peaks).
+void add_cnf_counters(const sat::cnf_manager& cnf, sweep_stats& stats);
 
 } // namespace stps::sweep
