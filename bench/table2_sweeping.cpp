@@ -180,10 +180,13 @@ void write_engine_json(std::FILE* f, const char* key,
   // the key.
   std::fprintf(f,
                "\"sat_conflicts\": %llu, \"sat_decisions\": %llu, "
-               "\"sat_propagations\": %llu, \"sat_restarts\": %llu, ",
+               "\"sat_propagations\": %llu, "
+               "\"sat_skipped_implications\": %llu, "
+               "\"sat_restarts\": %llu, ",
                static_cast<unsigned long long>(s.sat_conflicts),
                static_cast<unsigned long long>(s.sat_decisions),
                static_cast<unsigned long long>(s.sat_propagations),
+               static_cast<unsigned long long>(s.sat_skipped_implications),
                static_cast<unsigned long long>(s.sat_restarts));
   // Clause-database policy counters (reduce_db + binary graph),
   // accumulated across garbage epochs and shards like the search

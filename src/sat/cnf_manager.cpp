@@ -12,6 +12,7 @@ void accumulate(solver_stats& into, const solver_stats& s)
   into.restarts += s.restarts;
   into.learnt_clauses += s.learnt_clauses;
   into.solve_calls += s.solve_calls;
+  into.skipped_implications += s.skipped_implications;
   into.learnts_reduced += s.learnts_reduced;
   into.lbd_sum += s.lbd_sum;
   into.binary_clauses += s.binary_clauses;

@@ -50,14 +50,16 @@ public:
     /// Rebuild the solver when problem + learnt clauses exceed this
     /// (checked at query entry); 0 = never rebuild.
     uint64_t clause_budget = 0;
-    /// Cone-aware query scoping (aig_encoder::options): decisions and
-    /// thereby conflict-driven activity bumps are restricted to each
-    /// query's union cone, and saved phases + normalized activities
+    /// Cone-aware query scoping (aig_encoder::options): decisions,
+    /// propagation above level 0, and thereby conflict-driven activity
+    /// bumps are restricted to each query's union cone (PIs outside it
+    /// read as 0 in a model), and saved phases + normalized activities
     /// survive garbage epochs for cones that re-encode (the snapshot is
     /// taken at teardown and replayed as nodes re-encode; per-query
     /// scratch rebuilds of the non-incremental ablation stay cold —
     /// they are the baseline the carry-over is measured against).
-    /// false = unrestricted decisions, cold rebuilds.
+    /// false = unrestricted decisions and propagation, cold rebuilds —
+    /// the ungated reference of the cone-gating tests.
     bool cone_scoped_decisions = true;
     /// Adaptive per-query phase re-seeding (active only while phase
     /// hints are installed, and only for *equivalence* queries —

@@ -23,13 +23,16 @@ class aig_encoder
 public:
   struct options
   {
-    /// Restrict each query's decisions to its union cone
-    /// (solver::set_decision_vars over the encoded support closure).
-    /// Conflict-driven activity bumping is thereby limited to the
-    /// current cone too: variables outside it never enter the decision
-    /// heap, so stale high-activity variables of long-dead queries
-    /// cannot steer the search.  false = unrestricted decisions over
-    /// every encoded variable (ablation baseline).
+    /// Scope each query's search to its union cone
+    /// (solver::set_decision_vars over the encoded support closure):
+    /// above level 0 the solver neither branches on nor propagates to a
+    /// variable outside it, so the fanout gates of cones that earlier
+    /// queries encoded stay unassigned, and PIs outside the cone read
+    /// as 0 in a model.  Conflict-driven activity bumping is limited to
+    /// the current cone too, so stale high-activity variables of
+    /// long-dead queries cannot steer the search.  false = unrestricted
+    /// decisions and propagation over every encoded variable (the
+    /// reference the gated search is tested against).
     bool cone_scoped_decisions = true;
   };
 
@@ -140,9 +143,9 @@ private:
   /// support closure of \p roots (following the fanin variables *as
   /// encoded*, `var_fanins_`, which stays correct when later
   /// substitutions rewire the AIG) and flags it (plus \p extra, if not
-  /// ~0u) as the solver's decision scope, so a query searches only its
-  /// own cones instead of every variable encoded so far.  No-op when
-  /// the option is off.
+  /// ~0u) as the solver's decision scope, so a query searches and
+  /// propagates only its own cones instead of every variable encoded so
+  /// far.  No-op when the option is off.
   void scope_query(std::span<const lit> roots, var extra);
 
   /// Registers a fresh solver variable for \p n (~0u = auxiliary): grows

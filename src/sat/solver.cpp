@@ -302,6 +302,17 @@ void solver::enqueue(lit l, uint32_t reason)
 solver::conflict_ref solver::propagate()
 {
   conflict_ref conflict;
+  // Cone gating (see set_decision_vars): above level 0 an implied
+  // literal outside the decision scope is dropped, not enqueued.  Its
+  // clause keeps its watches, so conflict detection is unchanged.
+  const bool gated = restricted_ && decision_level() != 0u;
+  const auto imply = [&](lit l, uint32_t reason) {
+    if (gated && decision_[l.variable()] == 0u) {
+      ++stats_.skipped_implications;
+      return;
+    }
+    enqueue(l, reason);
+  };
   while (qhead_ < trail_.size()) {
     const lit p = trail_[qhead_++];
     ++stats_.propagations;
@@ -316,7 +327,7 @@ solver::conflict_ref solver::propagate()
         return conflict;
       }
       if (v == lbool::l_undef) {
-        enqueue(e.other, reason_binary(~p));
+        imply(e.other, reason_binary(~p));
       }
     }
     auto& ws = watches_[p.x];
@@ -340,7 +351,7 @@ solver::conflict_ref solver::propagate()
             ws[j++] = ws[i++];
           }
         } else {
-          enqueue(w.blocker, w.cr);
+          imply(w.blocker, w.cr);
         }
         continue;
       }
@@ -377,7 +388,7 @@ solver::conflict_ref solver::propagate()
           ws[j++] = ws[i++];
         }
       } else {
-        enqueue(first, w.cr);
+        imply(first, w.cr);
       }
     }
     ws.resize(j);

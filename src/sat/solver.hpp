@@ -10,9 +10,13 @@
 /// (sat/clause_db.hpp) with an implicit binary-clause fast path
 /// (sat/binary_graph.hpp), first-UIP learning with clause minimization
 /// and learn-time LBD, VSIDS decision heap with phase saving, Luby
-/// restarts, and glue/activity-ranked learnt-clause reduction.  This
-/// file orchestrates search and propagation only; clause storage and
-/// the binary implication graph live in their own modules.
+/// restarts, and glue/activity-ranked learnt-clause reduction.  Under a
+/// decision scope (`set_decision_vars`) search is cone-gated: above
+/// level 0 neither branching nor propagation assigns a variable outside
+/// the scope, so an incremental CNF that keeps every cone it ever
+/// encoded costs a query only the work of its own cone.  This file
+/// orchestrates search and propagation only; clause storage and the
+/// binary implication graph live in their own modules.
 #pragma once
 
 #include "sat/binary_graph.hpp"
@@ -34,6 +38,10 @@ struct solver_stats
   uint64_t restarts = 0;
   uint64_t learnt_clauses = 0;
   uint64_t solve_calls = 0;
+  /// Implied literals dropped by cone gating: unit under the current
+  /// assignment, above level 0, on a variable outside the decision
+  /// scope (see set_decision_vars).  Not counted in `propagations`.
+  uint64_t skipped_implications = 0;
 
   /// \name Clause-database policy counters (PR 10)
   /// Lifetime counters (never decremented), so sums across garbage
@@ -150,14 +158,27 @@ public:
   void set_var_activity(var v, double normalized);
   /// \}
 
-  /// Restricts branching to \p vars (plus assumptions) and rebuilds the
-  /// decision heap accordingly; stays in effect until the next call.  A
-  /// model then assigns these variables and whatever propagation reaches.
-  /// Sound whenever every unlisted variable is functionally defined from
-  /// listed ones or free (circuit-cone CNF): a conflict-free,
-  /// propagation-closed assignment of the listed variables always
-  /// extends to a total model.  The caller must list the full *encoded*
-  /// support closure of the query, or partial models may not extend.
+  /// Installs \p vars as the decision scope and rebuilds the decision
+  /// heap accordingly; stays in effect until the next call.  Above
+  /// decision level 0 the solver then neither branches on nor propagates
+  /// to an unlisted variable: an implied literal outside the scope is
+  /// dropped (counted in `solver_stats::skipped_implications`), while
+  /// conflict detection is unchanged.  Level 0 is never gated — a lost
+  /// level-0 fact would stay lost once its variable enters a later
+  /// scope.  So every unlisted variable is unassigned above level 0,
+  /// clauses mentioning one can neither propagate nor conflict, and a
+  /// model assigns exactly the listed variables plus level-0 facts
+  /// (`model_value` reads the rest as false).
+  ///
+  /// Ignoring clauses only weakens the formula, so `unsat` stays a
+  /// proof.  `sat` is sound whenever the scope is closed under
+  /// definitions (circuit-cone CNF): every clause over only listed
+  /// variables is propagated as usual, and every unlisted variable is
+  /// functionally defined from its fanins or free, so a conflict-free
+  /// total assignment of the listed variables extends to a total model,
+  /// which satisfies the learnt clauses too because they are implied.
+  /// The caller must list the full *encoded* fanin closure of the query
+  /// (assumption variables included), or partial models may not extend.
   /// Must be called at decision level 0.
   void set_decision_vars(std::span<const var> vars);
 

@@ -14,7 +14,7 @@ void signature_store::reset(std::size_t num_nodes, std::size_t num_words)
   tail_.clear();
   first_live_ = 0;
   tail_freed_ = 0;
-  base_freed_ = false;
+  base_first_ = 0;
   peak_bytes_ = std::max(peak_bytes_, live_bytes());
 }
 
@@ -22,7 +22,7 @@ void signature_store::assign_row(std::size_t n,
                                  std::span<const uint64_t> values)
 {
   assert(num_words_ == stride_ && "assign_row(): store has tail words");
-  assert(!base_freed_ && "assign_row(): base arena was trimmed");
+  assert(base_first_ == 0u && "assign_row(): base arena was trimmed");
   if (values.size() != num_words_) {
     throw std::invalid_argument{"signature_store: row width mismatch"};
   }
@@ -32,7 +32,7 @@ void signature_store::assign_row(std::size_t n,
 void signature_store::fill_row(std::size_t n, uint64_t value)
 {
   assert(num_words_ == stride_ && "fill_row(): store has tail words");
-  assert(!base_freed_ && "fill_row(): base arena was trimmed");
+  assert(base_first_ == 0u && "fill_row(): base arena was trimmed");
   uint64_t* p = data_.data() + n * stride_;
   std::fill(p, p + num_words_, value);
 }
@@ -52,10 +52,8 @@ void signature_store::append_trimmed_word()
          "append_trimmed_word(): store already has live words");
   assert(num_words_ >= stride_ &&
          "append_trimmed_word(): base words still pending");
-  if (!base_freed_ && stride_ > 0u) {
-    std::vector<uint64_t>{}.swap(data_);
-    base_freed_ = true;
-  }
+  std::vector<uint64_t>{}.swap(data_);
+  base_first_ = stride_;
   tail_.emplace_back(); // empty block: reads yield 0, never backed
   ++tail_freed_;
   ++num_words_;
@@ -77,11 +75,12 @@ void signature_store::mask_tail(uint64_t num_patterns)
     }
     return;
   }
-  if (base_freed_) {
+  if (base_first_ == stride_) {
     return; // every base word (including the last) was trimmed
   }
-  uint64_t* last = data_.data() + num_words_ - 1u;
-  for (std::size_t n = 0; n < num_nodes_; ++n, last += stride_) {
+  const std::size_t row_words = stride_ - base_first_;
+  uint64_t* last = data_.data() + row_words - 1u;
+  for (std::size_t n = 0; n < num_nodes_; ++n, last += row_words) {
     *last &= mask;
   }
 }
@@ -93,10 +92,18 @@ void signature_store::trim_words(std::size_t first_live)
     return;
   }
   first_live_ = first_live;
-  if (!base_freed_ && stride_ > 0u && first_live >= stride_) {
-    // Every base word is absorbed: drop the whole node-major arena.
-    std::vector<uint64_t>{}.swap(data_);
-    base_freed_ = true;
+  const std::size_t base_live = std::min(first_live, stride_);
+  if (base_live > base_first_) {
+    // Absorbed base words: keep only the live ones (none once every
+    // base word is absorbed) in a fresh, smaller node-major arena.
+    const std::size_t keep = stride_ - base_live;
+    std::vector<uint64_t> packed(num_nodes_ * keep);
+    for (std::size_t n = 0; n < num_nodes_ && keep != 0u; ++n) {
+      const uint64_t* from = data_.data() + base_index(n, base_live);
+      std::copy(from, from + keep, packed.data() + n * keep);
+    }
+    data_.swap(packed);
+    base_first_ = base_live;
   }
   while (tail_freed_ < tail_.size() &&
          stride_ + tail_freed_ < first_live) {

@@ -13,11 +13,13 @@
 /// counter-example accesses — every node's bits of the one open word —
 /// are contiguous.
 ///
-/// Layout: word `w` of node `n` is `data_[n * stride_ + w]` for
-/// `w < base_words()`, and `tail[w - base_words()][n]` otherwise; `word`
-/// and the `operator[]` row views dispatch.  The contiguous-span
-/// accessors (`row`, `assign_row`, `fill_row`) address the node-major
-/// base only and require `num_words() == base_words()` — i.e. stores
+/// Layout: word `w` of node `n` is `data_[n * (stride_ - base_first_) +
+/// w - base_first_]` for `base_first_ <= w < base_words()` (before any
+/// trim `base_first_` is 0 and rows sit at stride `base_words()`), and
+/// `tail[w - base_words()][n]` otherwise; `word` and the `operator[]`
+/// row views dispatch.  The contiguous-span accessors (`row`,
+/// `assign_row`, `fill_row`) address the node-major base only and
+/// require `num_words() == base_words()` and no trimming — i.e. stores
 /// that have not appended tail words, which is every simulator-facing
 /// use.
 ///
@@ -31,13 +33,16 @@
 /// reads it again — its information is *absorbed* by the partition.
 /// `trim_words(first_live)` frees the storage of absorbed words: tail
 /// blocks are dropped individually (one `swap`, the word-major layout
-/// makes this O(1) per word), the node-major base arena is freed as a
-/// whole once every base word is absorbed.  Word indexing stays
-/// *absolute* — `num_words()` never shrinks, appended words keep their
-/// indices — so refinement code is oblivious to trimming.  Reading a
-/// trimmed word yields 0 through the const accessors; writing one is a
-/// bug (asserted in debug builds).  `live_words`, `words_trimmed`,
-/// `live_bytes`, and `peak_bytes` expose the memory-budget counters.
+/// makes this O(1) per word).  The node-major base arena is freed as a
+/// whole once every base word is absorbed; until then it is repacked to
+/// its still-live words (the open word, typically), so absorbed base
+/// words never stay resident just because the open word shares their
+/// arena.  Word indexing stays *absolute* — `num_words()` never
+/// shrinks, appended words keep their indices — so refinement code is
+/// oblivious to trimming.  Reading a trimmed word yields 0 through the
+/// const accessors; writing one is a bug (asserted in debug builds).
+/// `live_words`, `words_trimmed`, `live_bytes`, and `peak_bytes` expose
+/// the memory-budget counters.
 #pragma once
 
 #include <cassert>
@@ -128,23 +133,26 @@ public:
 
   row_view operator[](std::size_t n) const noexcept { return {this, n}; }
   /// Contiguous node-major row; valid only while no tail words exist
-  /// (`num_words() == base_words()`), which holds for every
-  /// simulator-facing store.
+  /// and nothing was trimmed (`num_words() == base_words()`,
+  /// `words_trimmed() == 0`), which holds for every simulator-facing
+  /// store.
   std::span<uint64_t> row(std::size_t n) noexcept
   {
     assert(num_words_ == stride_ && "row(): store has tail words");
+    assert(base_first_ == 0u && "row(): base arena was trimmed");
     return {data_.data() + n * stride_, num_words_};
   }
   std::span<const uint64_t> row(std::size_t n) const noexcept
   {
     assert(num_words_ == stride_ && "row(): store has tail words");
+    assert(base_first_ == 0u && "row(): base arena was trimmed");
     return {data_.data() + n * stride_, num_words_};
   }
 
   uint64_t word(std::size_t n, std::size_t w) const noexcept
   {
     if (w < stride_) {
-      return base_freed_ ? 0u : data_[n * stride_ + w];
+      return w < base_first_ ? 0u : data_[base_index(n, w)];
     }
     const std::vector<uint64_t>& t = tail_[w - stride_];
     return t.empty() ? 0u : t[n];
@@ -152,7 +160,7 @@ public:
   uint64_t& word(std::size_t n, std::size_t w) noexcept
   {
     assert(w >= first_live_ && "word(): writing a trimmed word");
-    return w < stride_ ? data_[n * stride_ + w] : tail_[w - stride_][n];
+    return w < stride_ ? data_[base_index(n, w)] : tail_[w - stride_][n];
   }
 
   /// Strided address of word \p w across all nodes, for vectorized
@@ -166,11 +174,11 @@ public:
       const noexcept
   {
     if (w < stride_) {
-      if (base_freed_) {
+      if (w < base_first_) {
         return nullptr;
       }
-      *stride = stride_;
-      return data_.data() + w;
+      *stride = stride_ - base_first_;
+      return data_.data() + (w - base_first_);
     }
     const std::vector<uint64_t>& t = tail_[w - stride_];
     if (t.empty()) {
@@ -217,10 +225,12 @@ public:
   /// \{
   /// Frees the storage of every word with index < \p first_live (clamped
   /// to `num_words()`).  Tail blocks are freed individually; the base
-  /// arena is freed as a whole once \p first_live reaches `base_words()`
-  /// (node-major rows cannot drop single words cheaply).  Indices are
-  /// absolute and monotone: trimming never renumbers words, and a lower
-  /// \p first_live than a previous call is a no-op.
+  /// arena is freed as a whole once \p first_live reaches `base_words()`,
+  /// and otherwise repacked into a smaller node-major arena holding only
+  /// its live words (node-major rows cannot drop single words in
+  /// place).  Indices are absolute and monotone: trimming never
+  /// renumbers words, and a lower \p first_live than a previous call is
+  /// a no-op.
   void trim_words(std::size_t first_live);
 
   /// First word whose storage is guaranteed live (0 when never trimmed).
@@ -228,7 +238,7 @@ public:
   /// Words whose backing storage has been freed.
   std::size_t words_trimmed() const noexcept
   {
-    return (base_freed_ ? stride_ : 0u) + tail_freed_;
+    return base_first_ + tail_freed_;
   }
   /// Words still backed by storage.
   std::size_t live_words() const noexcept
@@ -238,23 +248,33 @@ public:
   /// Current footprint of the word data in bytes.
   std::size_t live_bytes() const noexcept
   {
-    return ((base_freed_ ? 0u : data_.size()) +
-            (tail_.size() - tail_freed_) * num_nodes_) *
+    return (data_.size() + (tail_.size() - tail_freed_) * num_nodes_) *
            sizeof(uint64_t);
   }
   /// Largest `live_bytes()` ever reached (tracked across reset/append).
   std::size_t peak_bytes() const noexcept { return peak_bytes_; }
+  /// Restarts peak tracking at the current footprint, for a copy of a
+  /// trimmed store: the copy never held the words trimmed before it.
+  void reset_peak() noexcept { peak_bytes_ = live_bytes(); }
   /// \}
 
 private:
+  /// Index into `data_` of base word \p w (`base_first_ <= w < stride_`).
+  std::size_t base_index(std::size_t n, std::size_t w) const noexcept
+  {
+    return n * (stride_ - base_first_) + (w - base_first_);
+  }
+
   std::vector<uint64_t> data_;                ///< node-major base arena
   std::vector<std::vector<uint64_t>> tail_;   ///< word-major appended words
   std::size_t num_nodes_ = 0;
   std::size_t num_words_ = 0;
-  std::size_t stride_ = 0;                    ///< base words per row
+  std::size_t stride_ = 0;                    ///< base words (index bound)
+  /// First base word still backed: `data_` holds base words
+  /// [base_first_, stride_) per row (== stride_ once the arena is freed).
+  std::size_t base_first_ = 0;
   std::size_t first_live_ = 0;                ///< trim high-water mark
   std::size_t tail_freed_ = 0;                ///< leading tail blocks freed
-  bool base_freed_ = false;
   std::size_t peak_bytes_ = 0;
 };
 

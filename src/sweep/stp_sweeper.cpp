@@ -49,6 +49,15 @@ std::size_t scaled_round2_queries(uint64_t num_gates, std::size_t cap)
       std::max<uint64_t>(num_gates * 16u / 1000u, 32u), cap);
 }
 
+/// First word a refinement may still read once the classes absorbed
+/// every word of \p patterns: the open (partially filled) word, or none
+/// on an exact 64-pattern boundary.
+std::size_t first_unabsorbed_word(const sim::pattern_set& patterns)
+{
+  return patterns.num_patterns() % 64u == 0u ? patterns.num_words()
+                                             : patterns.num_words() - 1u;
+}
+
 /// One shard takes the prologue's state outright; several each copy it.
 template <typename T>
 T take_or_copy(T& value, bool take)
@@ -430,9 +439,7 @@ private:
     // The open word must stay live; on an exact 64-pattern boundary the
     // last word is filled *and* refined with (the caller just flushed),
     // so everything can go.
-    const std::size_t first_live = patterns_.num_patterns() % 64u == 0u
-                                       ? patterns_.num_words()
-                                       : patterns_.num_words() - 1u;
+    const std::size_t first_live = first_unabsorbed_word(patterns_);
     if (sig_.live_words() <= params_.store_word_budget &&
         cesim_->store().live_words() <= params_.store_word_budget &&
         patterns_.live_words() <= params_.store_word_budget) {
@@ -856,6 +863,15 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
           });
     }
   };
+  // The classes have absorbed every initial word but the open one, so
+  // under the store word budget the rest is trimmed before the shards
+  // copy the store: each copy then holds one word per node instead of
+  // the whole initial simulation.  The initial arena's footprint is
+  // booked once, with the shard stores' own peaks.
+  if (params.store_word_budget != 0u && !params.fault_fail_store_trim &&
+      sig.live_words() > params.store_word_budget) {
+    sig.trim_words(first_unabsorbed_word(patterns));
+  }
 
   // ---- SAT phase: class-sharded sweeping over the frozen AIG. --------
   // The candidate classes are partitioned round-robin (ascending class
@@ -905,6 +921,10 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     }
     sat::cnf_manager& shard_cnf = one_shard ? *slice_cnfs.front() : *fresh_cnf;
     hint_fn(shard_cnf);
+    sim::signature_store shard_sig = take_or_copy(sig, one_shard);
+    if (!one_shard) {
+      shard_sig.reset_peak(); // the initial arena is booked once, below
+    }
     equiv_classes shard_classes = take_or_copy(classes, one_shard);
     for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
       if (owner_of_class[c] != static_cast<uint32_t>(s)) {
@@ -917,7 +937,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
                     out.stats,
                     stats.gates_before,
                     take_or_copy(patterns, one_shard),
-                    take_or_copy(sig, one_shard),
+                    std::move(shard_sig),
                     std::move(shard_classes),
                     out.records};
     core.run(shard_order[s]);
@@ -959,6 +979,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     stats.sat_conflicts += ss.sat_conflicts;
     stats.sat_decisions += ss.sat_decisions;
     stats.sat_propagations += ss.sat_propagations;
+    stats.sat_skipped_implications += ss.sat_skipped_implications;
     stats.sat_restarts += ss.sat_restarts;
     stats.sat_learnts_reduced += ss.sat_learnts_reduced;
     stats.sat_lbd_sum += ss.sat_lbd_sum;
@@ -973,6 +994,9 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     stats.sat_seconds += ss.sat_seconds;
     stats.worker_sat_seconds[s % workers_used] += ss.sat_seconds;
     any_aborted = any_aborted || shard_results[s].aborted;
+  }
+  if (!one_shard) {
+    stats.store_peak_bytes += sig.peak_bytes();
   }
   stats.has_ce_engine = true;
   stats.ce_engine_used = shard_results.front().stats.ce_engine_used;

@@ -143,10 +143,11 @@ struct stp_sweep_params
   /// result network is identical either way (differential harness +
   /// bench `--ablation`).
   bool use_signature_phase = true;
-  /// Cone-aware query scoping (sat::cnf_manager::params): decisions and
-  /// activity bumps restricted to each query's union cone, and learned
-  /// phase/activity carried across SAT garbage epochs for cones that
-  /// re-encode.  false = unrestricted decisions, cold rebuilds.
+  /// Cone-aware query scoping (sat::cnf_manager::params): decisions,
+  /// propagation above level 0 and activity bumps restricted to each
+  /// query's union cone, and learned phase/activity carried across SAT
+  /// garbage epochs for cones that re-encode.  false = unrestricted
+  /// decisions and propagation, cold rebuilds.
   bool use_cone_scoped_decisions = true;
 
   int64_t conflict_budget = -1;  ///< equivalence queries; -1 = unlimited

@@ -13,6 +13,7 @@ void add_cnf_counters(const sat::cnf_manager& cnf, sweep_stats& stats)
   stats.sat_conflicts += totals.conflicts;
   stats.sat_decisions += totals.decisions;
   stats.sat_propagations += totals.propagations;
+  stats.sat_skipped_implications += totals.skipped_implications;
   stats.sat_restarts += totals.restarts;
   stats.sat_learnts_reduced += totals.learnts_reduced;
   stats.sat_lbd_sum += totals.lbd_sum;

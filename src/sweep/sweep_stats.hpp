@@ -123,6 +123,10 @@ struct sweep_stats
   /// Literals assigned by unit propagation (solver::propagate, the top
   /// SAT cost in profiles).
   uint64_t sat_propagations = 0;
+  /// Implications cone gating dropped because they fell outside the
+  /// query's cone (solver_stats::skipped_implications; 0 without
+  /// cone-scoped decisions).
+  uint64_t sat_skipped_implications = 0;
   uint64_t sat_restarts = 0;
   /// Solver variables whose saved polarity was seeded from a signature
   /// word at encode time (0 when `use_signature_phase` is off or for

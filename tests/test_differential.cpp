@@ -57,9 +57,10 @@ net::aig_network make_network(uint64_t seed)
   net::aig_network base;
   switch (family) {
     case 0u:
-      base = gen::make_random_logic({8u + static_cast<uint32_t>(seed % 7u),
-                                     6u, 220u + 40u * (seed % 4u),
-                                     0xd1ffu + seed, 25u});
+      base = gen::make_random_logic(
+          {8u + static_cast<uint32_t>(seed % 7u), 6u,
+           220u + 40u * static_cast<uint32_t>(seed % 4u), 0xd1ffu + seed,
+           25u});
       break;
     case 1u:
       base = gen::make_adder(6u + static_cast<uint32_t>(seed % 6u));
@@ -295,6 +296,7 @@ TEST(Differential, SeededSweepsAreDeterministic)
       EXPECT_EQ(a.sat_conflicts, b.sat_conflicts);
       EXPECT_EQ(a.sat_decisions, b.sat_decisions);
       EXPECT_EQ(a.sat_propagations, b.sat_propagations);
+      EXPECT_EQ(a.sat_skipped_implications, b.sat_skipped_implications);
       EXPECT_EQ(a.sat_restarts, b.sat_restarts);
       EXPECT_EQ(a.phase_seed_words, b.phase_seed_words);
       EXPECT_EQ(a.store_words_live, b.store_words_live);

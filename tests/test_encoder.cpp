@@ -1,11 +1,17 @@
 #include "gen/arithmetic.hpp"
 #include "gen/random_logic.hpp"
+#include "gen/redundancy.hpp"
 #include "sat/cnf_manager.hpp"
 #include "sat/encoder.hpp"
 #include "sim/bitwise_sim.hpp"
 #include "sim/patterns.hpp"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <random>
+#include <tuple>
+#include <unordered_map>
 
 namespace {
 
@@ -293,6 +299,132 @@ TEST(CnfManager, EpochCarryOverPreservesAnswers)
   }
   EXPECT_GT(carrying.rebuilds(), 0u);
   EXPECT_GT(cold.rebuilds(), 0u);
+}
+
+TEST(CnfManager, ConeGatedPropagationMatchesUngatedOracle)
+{
+  // Cone gating keeps a query's search from assigning the fanout gates
+  // of cones that earlier queries encoded into the shared CNF.  One
+  // persistent manager per mode answers the same mixed stream of
+  // equivalence, constant and assignment queries; the manager without
+  // cone scoping propagates everything and is the oracle.  Verdicts must
+  // agree, and every gated model, re-simulated through the AIG with its
+  // out-of-cone PIs read as 0, must satisfy its query.
+  uint64_t queries = 0;
+  uint64_t verdicts[3] = {0u, 0u, 0u}; // indexed by sat::result
+  for (uint64_t seed = 0; seed < 4u; ++seed) {
+    const auto base = gen::make_random_logic(
+        {16u, 10u, 500u + 100u * static_cast<uint32_t>(seed), 0x6a7eu + seed,
+         30u});
+    const auto aig =
+        gen::inject_redundancy(base, {8u, 4u, 0x6a7eu + seed, 6u});
+    std::vector<net::node> gates;
+    aig.foreach_gate([&](net::node n) { gates.push_back(n); });
+    ASSERT_FALSE(gates.empty());
+
+    // Simulation-matched pairs, as a sweep would query them: mostly
+    // equivalences, plus near-duplicates only a model can split.
+    const sim::signature_store sig = sim::simulate_aig(
+        aig, sim::pattern_set::random(aig.num_pis(), 64u, seed));
+    std::unordered_map<uint64_t, net::node> representative;
+    std::vector<std::tuple<net::node, net::node, bool>> candidates;
+    for (const net::node n : gates) {
+      const uint64_t w = sig.word(n, 0u);
+      const bool phase = (w & 1u) != 0u;
+      const auto [it, fresh] =
+          representative.try_emplace(phase ? ~w : w, n);
+      if (!fresh) {
+        const bool rep_phase = (sig.word(it->second, 0u) & 1u) != 0u;
+        candidates.emplace_back(it->second, n, phase != rep_phase);
+      }
+    }
+    ASSERT_FALSE(candidates.empty());
+
+    const auto value_of = [&](const std::vector<bool>& pis, net::signal f) {
+      auto buf = std::make_unique<bool[]>(pis.size());
+      for (std::size_t i = 0; i < pis.size(); ++i) {
+        buf[i] = pis[i];
+      }
+      return sim::evaluate_aig_node(
+                 aig, f.get_node(),
+                 std::span<const bool>{buf.get(), pis.size()}) !=
+             f.is_complemented();
+    };
+
+    sat::cnf_manager gated{aig};
+    sat::cnf_manager ungated{aig, {true, 0u, /*cone_scoped=*/false}};
+    std::mt19937_64 rng{seed};
+    const auto random_gate = [&] {
+      return net::signal{gates[rng() % gates.size()], (rng() & 1u) != 0u};
+    };
+    for (uint32_t k = 0; k < 750u; ++k, ++queries) {
+      switch (rng() % 4u) {
+        case 0u:
+        case 1u: {
+          net::signal a;
+          net::signal b;
+          bool complement;
+          if (rng() % 4u != 0u) {
+            const auto& [x, y, c] = candidates[rng() % candidates.size()];
+            a = net::signal{x, false};
+            b = net::signal{y, false};
+            complement = c;
+          } else {
+            a = random_gate();
+            b = random_gate();
+            complement = (rng() & 1u) != 0u;
+          }
+          const result r = gated.prove_equivalent(a, b, complement, -1);
+          ASSERT_EQ(r, ungated.prove_equivalent(a, b, complement, -1))
+              << "seed " << seed << " query " << k;
+          ++verdicts[static_cast<int>(r)];
+          if (r == result::sat) {
+            const std::vector<bool> ce = gated.model_inputs();
+            ASSERT_EQ(ce.size(), aig.num_pis());
+            EXPECT_EQ(value_of(ce, a), value_of(ce, b) == complement)
+                << "seed " << seed << " query " << k;
+          }
+          break;
+        }
+        case 2u: {
+          const net::signal f = random_gate();
+          const bool value = (rng() & 1u) != 0u;
+          const result r = gated.prove_constant(f, value, -1);
+          ASSERT_EQ(r, ungated.prove_constant(f, value, -1))
+              << "seed " << seed << " query " << k;
+          if (r == result::sat) {
+            EXPECT_NE(value_of(gated.model_inputs(), f), value)
+                << "seed " << seed << " query " << k;
+          }
+          break;
+        }
+        default: {
+          const net::signal f = random_gate();
+          const bool value = (rng() & 1u) != 0u;
+          const auto witness = gated.find_assignment(f, value, -1);
+          ASSERT_EQ(witness.has_value(),
+                    ungated.find_assignment(f, value, -1).has_value())
+              << "seed " << seed << " query " << k;
+          if (witness) {
+            EXPECT_EQ(value_of(*witness, f), value)
+                << "seed " << seed << " query " << k;
+          }
+          break;
+        }
+      }
+    }
+    EXPECT_GT(gated.solver_statistics().skipped_implications, 0u)
+        << "seed " << seed;
+    EXPECT_EQ(ungated.solver_statistics().skipped_implications, 0u);
+    // The oracle propagates every encoded fanout; gating only drops work.
+    EXPECT_LT(gated.solver_statistics().propagations,
+              ungated.solver_statistics().propagations)
+        << "seed " << seed;
+  }
+  EXPECT_EQ(queries, 3000u);
+  // The stream must exercise both answers of the equivalence queries.
+  EXPECT_GT(verdicts[static_cast<int>(result::sat)], 100u);
+  EXPECT_GT(verdicts[static_cast<int>(result::unsat)], 100u);
 }
 
 TEST(Encoder, EncodesLazilyAndOnce)

@@ -355,7 +355,7 @@ TEST(Aiger, RejectsMalformedStructure)
   // Binary deltas that cannot fit in 32 bits must be parse errors, not
   // oversized shifts (6 continuation bytes) or silent truncation (high
   // bits in the 5th byte: 2^32 would decode as 0, i.e. self-reference).
-  for (const std::string delta :
+  for (const std::string& delta :
        {std::string(6u, '\xff'), std::string{"\x80\x80\x80\x80\x10"},
         std::string{"\x00\x00", 2u}}) { // delta0 = 0: AND reads itself
     std::stringstream ss{std::string{"aig 3 2 0 1 1\n6\n"} + delta};

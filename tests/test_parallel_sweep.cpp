@@ -88,6 +88,7 @@ std::vector<uint64_t> counters(const sweep::sweep_stats& s)
           s.sat_conflicts,
           s.sat_decisions,
           s.sat_propagations,
+          s.sat_skipped_implications,
           s.sat_restarts,
           s.phase_seed_words,
           static_cast<uint64_t>(s.has_store_counters),

@@ -236,6 +236,50 @@ TEST(Sat, IncrementalClauseAddition)
   EXPECT_EQ(s.solve(), result::unsat);
 }
 
+TEST(Sat, ConeGatingDropsOutOfScopeImplicationsAboveLevelZero)
+{
+  // g, h form the decision scope; x, y, z lie outside it and are reached
+  // through each propagation path: an implicit binary (g → x), a
+  // watched ternary (g ∧ ¬h → y) and a removable binary arena clause
+  // (g → z).
+  for (const bool scoped : {true, false}) {
+    solver s;
+    const var g = s.new_var();
+    const var h = s.new_var();
+    const var x = s.new_var();
+    const var y = s.new_var();
+    const var z = s.new_var();
+    s.add_clause({neg(g), pos(x)});
+    s.add_clause({neg(g), pos(h), pos(y)});
+    const lit removable[2] = {neg(g), pos(z)};
+    ASSERT_NE(s.add_removable_clause(removable), nullptr);
+    if (scoped) {
+      const var scope[2] = {g, h};
+      s.set_decision_vars(scope);
+    }
+    const lit assumptions[2] = {pos(g), neg(h)};
+    ASSERT_EQ(s.solve(assumptions), result::sat);
+    EXPECT_TRUE(s.model_value(g));
+    EXPECT_FALSE(s.model_value(h));
+    // Gated: the three out-of-scope implications are dropped, so the
+    // model leaves x, y, z unassigned (read as false).
+    EXPECT_EQ(s.stats().skipped_implications, scoped ? 3u : 0u);
+    EXPECT_EQ(s.model_value(x), !scoped);
+    EXPECT_EQ(s.model_value(y), !scoped);
+    EXPECT_EQ(s.model_value(z), !scoped);
+
+    // Level 0 is never gated: a unit added after the scoped query still
+    // fixes every out-of-scope variable it implies.
+    ASSERT_TRUE(s.add_clause({pos(g)}));
+    EXPECT_EQ(s.fixed_value(x), lbool::l_true);
+    EXPECT_EQ(s.fixed_value(z), lbool::l_true);
+    EXPECT_EQ(s.fixed_value(y), lbool::l_undef);
+    ASSERT_TRUE(s.add_clause({neg(h)}));
+    EXPECT_EQ(s.fixed_value(y), lbool::l_true);
+    EXPECT_EQ(s.solve(), result::sat);
+  }
+}
+
 TEST(Dimacs, LoadAndSolve)
 {
   std::stringstream ss{"c comment\np cnf 3 3\n1 -2 0\n2 3 0\n-1 0\n"};

@@ -150,11 +150,26 @@ TEST(SignatureStore, TrimFreesAbsorbedWordsAndCounts)
   EXPECT_EQ(sig.first_live_word(), 0u);
 
   // first_live inside the base: node-major rows cannot drop single
-  // words, so nothing is freed yet — but the high-water mark moves.
+  // words in place, so the arena is repacked to its live base word and
+  // the absorbed one is freed (it reads as 0 from now on).
   sig.trim_words(1u);
   EXPECT_EQ(sig.first_live_word(), 1u);
-  EXPECT_EQ(sig.live_words(), 4u);
-  EXPECT_EQ(sig.word(3u, 1u), 301u);
+  EXPECT_EQ(sig.words_trimmed(), 1u);
+  EXPECT_EQ(sig.live_words(), 3u);
+  EXPECT_EQ(sig.live_bytes(), 8u * 3u * sizeof(uint64_t));
+  const signature_store& repacked = sig;
+  EXPECT_EQ(repacked.word(3u, 0u), 0u);
+  for (std::size_t n = 0; n < sig.size(); ++n) {
+    for (std::size_t w = 1; w < 4u; ++w) {
+      EXPECT_EQ(repacked.word(n, w), 100u * n + w) << n << " " << w;
+    }
+  }
+  std::size_t stride = 0;
+  EXPECT_EQ(sig.word_block(0u, &stride), nullptr);
+  const uint64_t* block = sig.word_block(1u, &stride);
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(stride, 1u); // one live base word per row
+  EXPECT_EQ(block[6u * stride], 601u);
 
   // Reaching the base boundary frees the whole arena; tail word 2 is
   // also below the mark and its block is dropped individually.
